@@ -1,10 +1,12 @@
 //! `perfgate` — fails the build when hot-loop throughput regresses.
 //!
 //! Compares the two most recent `BENCH_<n>.json` snapshots (or an
-//! explicit `--old`/`--new` pair) and exits non-zero when any workload
-//! lost more than the threshold (default 10%) of its cycles/sec.
+//! explicit pair, given as two paths or with `--old`/`--new`) and exits
+//! non-zero when any workload lost more than the threshold (default
+//! 10%) of its cycles/sec.
 //!
 //! ```text
+//! perfgate [OLD NEW] [--threshold FRACTION]
 //! perfgate [--old PATH] [--new PATH] [--threshold FRACTION]
 //! perfgate --check-format [PATH ...]
 //! perfgate --chain [PATH ...]
@@ -203,7 +205,8 @@ fn main() -> ExitCode {
                 "--chain" => chain_mode = true,
                 "--help" | "-h" => {
                     println!(
-                        "perfgate [--old PATH] [--new PATH] [--threshold FRACTION]\n\
+                        "perfgate [OLD NEW] [--threshold FRACTION]\n\
+                         perfgate [--old PATH] [--new PATH] [--threshold FRACTION]\n\
                          perfgate --check-format [PATH ...]\n\
                          perfgate --chain [PATH ...]\n\
                          Compares the two most recent BENCH_<n>.json snapshots and fails\n\
@@ -230,6 +233,28 @@ fn main() -> ExitCode {
     }
     if chain_mode {
         return chain(positional, threshold);
+    }
+
+    // Pair mode: two positional paths are old and new. Any other count,
+    // or positionals mixed with --old/--new, is ambiguous and rejected
+    // rather than quietly gating some other pair.
+    if !positional.is_empty() {
+        let err = if old.is_some() || new.is_some() {
+            Some("give the pair either as two paths or with --old/--new, not both".to_string())
+        } else if positional.len() != 2 {
+            Some(format!(
+                "pair mode takes exactly two snapshot paths (OLD NEW), got {}",
+                positional.len()
+            ))
+        } else {
+            reject_unexpanded_globs(&positional).err()
+        };
+        if let Some(e) = err {
+            eprintln!("perfgate: {e}");
+            return ExitCode::FAILURE;
+        }
+        new = positional.pop();
+        old = positional.pop();
     }
 
     let (old_path, new_path) = match (old, new) {

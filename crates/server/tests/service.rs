@@ -379,8 +379,17 @@ fn deadline_expiry_returns_504_and_cancels() {
 fn shutdown_mid_flight_drains_accepted_work() {
     let (addr, handle, runner) = start(local(4, 1));
 
-    // Park one slow-but-finite request in the worker.
-    let body = spin_body(300_000, 120_000);
+    // Park one slow-but-finite request (about two seconds) in the
+    // worker. Its length is sized from a timed short request, so it
+    // stays long next to the 200 ms head start however fast this build
+    // simulates.
+    let probe = 20_000;
+    let t0 = Instant::now();
+    let r = request(&addr, "POST", "/v1/eval", &spin_body(probe, 120_000));
+    assert_eq!(r.status, 200, "{}", r.body);
+    let per_iter = t0.elapsed().as_secs_f64() / probe as f64;
+    let iters = ((2.0 / per_iter) as u64).clamp(probe, 100_000_000);
+    let body = spin_body(iters, 120_000);
     let in_flight = std::thread::spawn(move || request(&addr, "POST", "/v1/eval", &body));
     // Give it time to be admitted and picked up.
     std::thread::sleep(Duration::from_millis(200));

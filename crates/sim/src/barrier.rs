@@ -37,22 +37,19 @@ impl Machine<'_> {
         // reconvergence is the stack's job. `__syncthreads` is a
         // separate instruction and keeps its real semantics.
         if matches!(self.cfg.recon, ReconvergenceModel::IpdomStack) {
-            if let BarrierOp::ArrivedCount { dst, .. } = op {
-                for l in lanes(mask) {
-                    self.set_reg(w, l, dst, Value::I64(0));
+            let warp = &mut self.warps[w];
+            match op {
+                BarrierOp::ArrivedCount { dst, .. } => {
+                    warp.regs.write_lanes(&mut warp.pcs, mask, dst, |_| Value::I64(0));
                 }
-            }
-            for l in lanes(mask) {
-                self.advance(w, l);
+                _ => warp.advance_lanes(mask),
             }
             return;
         }
         match op {
             BarrierOp::Join(b) | BarrierOp::Rejoin(b) => {
                 self.warps[w].masks[b.index()] |= mask;
-                for l in lanes(mask) {
-                    self.advance(w, l);
-                }
+                self.warps[w].advance_lanes(mask);
                 self.journal_push(JournalEvent::BarrierJoin {
                     cycle: self.cycle,
                     warp: w,
@@ -62,9 +59,7 @@ impl Machine<'_> {
             }
             BarrierOp::Cancel(b) => {
                 self.warps[w].masks[b.index()] &= !mask;
-                for l in lanes(mask) {
-                    self.advance(w, l);
-                }
+                self.warps[w].advance_lanes(mask);
                 self.journal_push(JournalEvent::BarrierCancel {
                     cycle: self.cycle,
                     warp: w,
@@ -75,17 +70,13 @@ impl Machine<'_> {
             }
             BarrierOp::Copy { dst, src } => {
                 self.warps[w].masks[dst.index()] = self.warps[w].masks[src.index()];
-                for l in lanes(mask) {
-                    self.advance(w, l);
-                }
+                self.warps[w].advance_lanes(mask);
                 self.release_check(w, dst);
             }
             BarrierOp::ArrivedCount { dst, bar } => {
-                let n = self.warps[w].masks[bar.index()].count_ones() as i64;
-                for l in lanes(mask) {
-                    self.set_reg(w, l, dst, Value::I64(n));
-                    self.advance(w, l);
-                }
+                let warp = &mut self.warps[w];
+                let n = warp.masks[bar.index()].count_ones() as i64;
+                warp.regs.write_lanes(&mut warp.pcs, mask, dst, |_| Value::I64(n));
             }
             BarrierOp::Wait(b) => {
                 // Block at the wait instruction; the PC advances on

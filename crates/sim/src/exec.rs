@@ -18,17 +18,28 @@
 //! - each warp carries incremental `runnable`/`waiting`/`at_sync`/
 //!   `exited` masks maintained at the status transition points, so an
 //!   issue slot never scans thread statuses;
-//! - every execute arm resolves a lane's top frame once and works
-//!   through that single borrow (register reads, writes, and the pc
-//!   bump), instead of re-walking `warps[w].threads[l].frames` per
-//!   access;
-//! - every buffer the loop needs (group keys, coalescing addresses,
-//!   staged call/return values) lives in a per-[`Machine`] [`Scratch`]
-//!   arena, and call frames are recycled through a per-thread spare
-//!   pool — after warm-up, [`Machine::step`] performs **zero heap
-//!   allocations** in steady state (a counting-allocator test enforces
-//!   this).
+//! - registers live in one arena per warp, laid out `[row * width +
+//!   lane]` ([`RegArena`]): each lane's call frames stack register
+//!   windows upward from row 0, and a lane keeps only frame metadata
+//!   (`pc`, return registers, window base and length). A register read
+//!   is one indexed load at the lane's cached top-frame offset; `call`
+//!   and `ret` push and pop windows with no copying through staging;
+//! - execute arms work per issue, not per lane: ALU arms pick their
+//!   kernel once from the shared table in [`crate::alu`] and every other
+//!   arm resolves its operands (and `Special`/`Rng` kinds) before its
+//!   lane loop;
+//! - a fallible kernel (integer `div`/`rem`, bitwise ops, `not`) stages
+//!   its lanes' results and commits them only if no lane faulted, so a
+//!   faulting issue mutates nothing. The straight-line batcher relies on
+//!   this: a batched issue that faults just ends the batch, and the
+//!   instruction faults again in its own round, in exact error order;
+//! - every buffer the loop needs (group keys, coalescing addresses, the
+//!   fallible-kernel stage) lives in a per-[`Machine`] [`Scratch`], and
+//!   the register arena only grows to its high-water row count — after
+//!   warm-up, [`Machine::step`] performs **zero heap allocations** in
+//!   steady state (a counting-allocator test enforces this).
 
+use crate::alu::{AluOp, LaneLoop};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
 use crate::error::{BarrierState, ReconDump, SimError, SplitDump, StackEntryDump, ThreadLocation};
@@ -40,29 +51,161 @@ use crate::recon::{IpdomTable, Split, StackEntry, NO_RPC};
 use crate::rng::SplitMix64;
 use crate::sched::{lanes, select_group_mask};
 use crate::trace::{Trace, TraceEvent};
-use simt_ir::{
-    BarrierId, BarrierOp, BinOp, BlockId, FuncId, MemSpace, Operand, RngKind, SpecialValue, Value,
-};
+use simt_ir::{BarrierId, BarrierOp, BinOp, MemSpace, Operand, RngKind, SpecialValue, Value};
 
-#[derive(Clone, Debug)]
+/// One call frame of a lane: where its register window sits in an
+/// arena, and how to resume the caller. The decoded engine's arena is
+/// the warp's [`RegArena`]; the sweep cohort lays the same windows over
+/// its per-lane slot columns.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Frame {
     /// Saved pc. Authoritative only while the frame is suspended (a call
     /// is in flight above it); the *top* frame's live pc is tracked in
     /// [`Warp::pcs`] so the scheduler scans a flat array instead of
     /// chasing `frames.last()` per lane.
     pub(crate) pc: usize,
-    pub(crate) regs: Vec<Value>,
     /// Caller registers (a [`DecodedImage::reg_pool`] span) that receive
     /// this frame's return values.
     pub(crate) ret_regs: PoolRange,
+    /// First arena row of the frame's register window.
+    pub(crate) base: usize,
+    /// Number of registers (rows) in the window.
+    pub(crate) len: usize,
 }
 
-/// Evaluates an operand against one frame's register file.
-#[inline]
-fn eval_in(frame: &Frame, op: Operand) -> Value {
-    match op {
-        Operand::Imm(v) => v,
-        Operand::Reg(r) => frame.regs[r.index()],
+impl Frame {
+    /// First row above this frame's window: where a callee's window
+    /// starts (the arena is a per-lane bump allocator).
+    pub(crate) fn end(&self) -> usize {
+        self.base + self.len
+    }
+}
+
+/// A warp's register file: one arena shared by every lane, laid out
+/// `[row * width + lane]`, so lanes are the column axis. Each lane's
+/// frames own consecutive windows of rows starting at row 0; the arena
+/// only grows, to the deepest lane's high-water row count.
+#[derive(Clone, Debug)]
+pub(crate) struct RegArena {
+    pub(crate) vals: Vec<Value>,
+    /// Per lane: arena index of register 0 of the lane's top frame
+    /// (`base * width + lane`). Register `r` of that frame sits at
+    /// `at[lane] + r * width`.
+    pub(crate) at: Vec<usize>,
+    pub(crate) width: usize,
+}
+
+/// An operand resolved once per issue: an immediate, or a register's
+/// row offset (`r * width`) to add to a lane's [`RegArena::at`].
+#[derive(Clone, Copy)]
+enum Src {
+    Imm(Value),
+    Row(usize),
+}
+
+impl Src {
+    #[inline]
+    fn read(self, vals: &[Value], at: usize) -> Value {
+        match self {
+            Src::Imm(v) => v,
+            Src::Row(o) => vals[at + o],
+        }
+    }
+}
+
+impl RegArena {
+    /// An arena of `rows` zeroed rows with every lane's top frame at
+    /// row 0.
+    pub(crate) fn new(width: usize, rows: usize) -> Self {
+        Self { vals: vec![Value::default(); rows * width], at: (0..width).collect(), width }
+    }
+
+    #[inline]
+    fn src(&self, op: Operand) -> Src {
+        match op {
+            Operand::Imm(v) => Src::Imm(v),
+            Operand::Reg(r) => Src::Row(r.index() * self.width),
+        }
+    }
+
+    /// Opens a zeroed `len`-row window at row `base` as lane `l`'s top
+    /// frame, growing the arena if the lane reaches a new high-water
+    /// row. Returns the caller frame's offset.
+    fn push_window(&mut self, l: usize, base: usize, len: usize) -> usize {
+        let end = (base + len) * self.width;
+        if self.vals.len() < end {
+            self.vals.resize(end, Value::default());
+        }
+        let caller = self.at[l];
+        self.at[l] = base * self.width + l;
+        for i in (self.at[l]..end).step_by(self.width) {
+            self.vals[i] = Value::default();
+        }
+        caller
+    }
+
+    /// Writes `f(lane)` to register `dst` of every lane in `mask` and
+    /// advances those lanes: the shape of every infallible
+    /// single-destination arm, instantiated once per value source.
+    #[inline]
+    pub(crate) fn write_lanes(
+        &mut self,
+        pcs: &mut [usize],
+        mask: u64,
+        dst: simt_ir::Reg,
+        mut f: impl FnMut(usize) -> Value,
+    ) {
+        let d = dst.index() * self.width;
+        for l in lanes(mask) {
+            self.vals[self.at[l] + d] = f(l);
+            pcs[l] += 1;
+        }
+    }
+}
+
+/// The decoded engine's [`LaneLoop`]: one ALU issue over a warp's
+/// register arena.
+struct WarpAlu<'a> {
+    warp: &'a mut Warp,
+    stage: &'a mut [Value; 64],
+    mask: u64,
+    dst: simt_ir::Reg,
+    lhs: Operand,
+    rhs: Operand,
+}
+
+impl LaneLoop for WarpAlu<'_> {
+    /// The first lane, in lane order, whose operands the kernel refused
+    /// (with those operands). The warp is then untouched.
+    type Out = Result<(), (usize, Value, Value)>;
+
+    #[inline]
+    fn run<K: Fn(Value, Value) -> Option<Value>>(self, k: K, can_fault: bool) -> Self::Out {
+        let WarpAlu { warp, stage, mask, dst, lhs, rhs } = self;
+        let Warp { regs, pcs, .. } = warp;
+        let (a, b) = (regs.src(lhs), regs.src(rhs));
+        let d = dst.index() * regs.width;
+        if can_fault {
+            // Reserve every lane's result, then commit: an issue either
+            // writes all its lanes or none.
+            for l in lanes(mask) {
+                let at = regs.at[l];
+                let (x, y) = (a.read(&regs.vals, at), b.read(&regs.vals, at));
+                stage[l] = k(x, y).ok_or((l, x, y))?;
+            }
+            for l in lanes(mask) {
+                regs.vals[regs.at[l] + d] = stage[l];
+                pcs[l] += 1;
+            }
+        } else {
+            for l in lanes(mask) {
+                let at = regs.at[l];
+                let v = k(a.read(&regs.vals, at), b.read(&regs.vals, at));
+                regs.vals[at + d] = v.expect("an infallible kernel refused its operands");
+                pcs[l] += 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -116,36 +259,6 @@ pub(crate) fn keeps_lockstep(inst: &DecodedInst) -> bool {
         )
 }
 
-/// Whether executing `inst` over `mask` is guaranteed not to fault.
-///
-/// A batched issue must be infallible: errors surface in scheduling
-/// order, and an error raised from look-ahead could preempt another
-/// warp's earlier fault. The check mirrors [`crate::alu`]'s fault
-/// conditions by *reading* the operands — a faultable lane leaves the
-/// instruction to execute in its own round, where ordering is exact.
-fn batch_fault_free(warp: &Warp, mask: u64, inst: &DecodedInst) -> bool {
-    match *inst {
-        DecodedInst::Bin { op: BinOp::Div | BinOp::Rem, lhs, rhs, .. } => lanes(mask).all(|l| {
-            let f = warp.threads[l].frame();
-            let (a, b) = (eval_in(f, lhs), eval_in(f, rhs));
-            !(a.is_int() && b.is_int() && b.as_i64() == 0)
-        }),
-        DecodedInst::Bin {
-            op: BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr,
-            lhs,
-            rhs,
-            ..
-        } => lanes(mask).all(|l| {
-            let f = warp.threads[l].frame();
-            eval_in(f, lhs).is_int() && eval_in(f, rhs).is_int()
-        }),
-        DecodedInst::Un { op: simt_ir::UnOp::Not, src, .. } => {
-            lanes(mask).all(|l| eval_in(warp.threads[l].frame(), src).is_int())
-        }
-        _ => true,
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Status {
     Runnable,
@@ -157,28 +270,18 @@ pub(crate) enum Status {
 
 #[derive(Clone, Debug)]
 pub(crate) struct Thread {
+    /// Call stack, innermost last; never empty.
     pub(crate) frames: Vec<Frame>,
     pub(crate) status: Status,
     pub(crate) rng: SplitMix64,
     pub(crate) local: Vec<Value>,
-    /// Popped call frames held for reuse: a call pops one here before
-    /// allocating, so call/return cycles stop churning the heap once the
-    /// pool matches the kernel's call depth.
-    pub(crate) spare: Vec<Frame>,
-}
-
-impl Thread {
-    pub(crate) fn frame(&self) -> &Frame {
-        self.frames.last().expect("thread has no frame")
-    }
-    pub(crate) fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("thread has no frame")
-    }
 }
 
 #[derive(Clone, Debug)]
 pub(crate) struct Warp {
     pub(crate) threads: Vec<Thread>,
+    /// Every lane's registers, over the windows its `frames` describe.
+    pub(crate) regs: RegArena,
     /// Live pc of each lane's top frame (see [`Frame::pc`]): the hot
     /// loop's grouping scan reads this contiguous array. Stale for
     /// exited lanes.
@@ -229,12 +332,21 @@ pub(crate) struct Warp {
     pub(crate) done: bool,
 }
 
+impl Warp {
+    /// Advances every lane in `mask` past its instruction.
+    pub(crate) fn advance_lanes(&mut self, mask: u64) {
+        for l in lanes(mask) {
+            self.pcs[l] += 1;
+        }
+    }
+}
+
 /// Reusable hot-loop buffers owned by the [`Machine`].
 ///
 /// Everything the steady-state loop needs to stage variable-length data
 /// lives here and is cleared — never dropped — between uses, so `step()`
 /// stops allocating once each buffer has grown to its high-water mark.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Scratch {
     /// Grouped `(pc, lane mask)` scheduler candidates.
     groups: Vec<(usize, u64)>,
@@ -242,14 +354,29 @@ pub(crate) struct Scratch {
     addrs: Vec<i64>,
     /// Segment/line ids derived from `addrs`.
     lines: Vec<i64>,
-    /// Staged call arguments / return values.
-    vals: Vec<Value>,
+    /// Per-lane results of a fallible kernel, committed only once every
+    /// lane succeeded. Never cleared: each issue writes the lanes it
+    /// reads back.
+    stage: [Value; 64],
     /// Ready-split issue candidates `(pc, issue mask, split index)` of
     /// the warp-split scheduling round.
     split_cands: Vec<(usize, u64, usize)>,
     /// Memory-hierarchy walk staging (line sets per level, MSHR sort
     /// buffer).
     mem: crate::mem::MemScratch,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Self {
+            groups: Vec::new(),
+            addrs: Vec::new(),
+            lines: Vec::new(),
+            stage: [Value::default(); 64],
+            split_cands: Vec::new(),
+            mem: crate::mem::MemScratch::default(),
+        }
+    }
 }
 
 pub(crate) struct Machine<'m> {
@@ -382,29 +509,31 @@ impl<'m> Machine<'m> {
         let width = cfg.warp_width;
         assert!(width <= 64, "warp width above 64 lanes is not supported");
         let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        let num_regs = kfunc.num_regs as usize;
         let mut warps = Vec::with_capacity(launch.num_warps);
         for w in 0..launch.num_warps {
             let mut threads = Vec::with_capacity(width);
             for lane in 0..width {
                 let tid = (w * width + lane) as u64;
-                let mut regs = vec![Value::default(); kfunc.num_regs as usize];
-                for (i, a) in launch.args.iter().enumerate() {
-                    regs[i] = *a;
-                }
                 threads.push(Thread {
                     frames: vec![Frame {
                         pc: kfunc.entry_pc as usize,
-                        regs,
                         ret_regs: PoolRange::EMPTY,
+                        base: 0,
+                        len: num_regs,
                     }],
                     status: Status::Runnable,
                     rng: SplitMix64::for_thread(launch.seed, tid),
                     local: vec![Value::default(); launch.local_mem_size],
-                    spare: Vec::new(),
                 });
+            }
+            let mut regs = RegArena::new(width, num_regs);
+            for (i, a) in launch.args.iter().enumerate() {
+                regs.vals[i * width..(i + 1) * width].fill(*a);
             }
             warps.push(Warp {
                 threads,
+                regs,
                 pcs: vec![kfunc.entry_pc as usize; width],
                 masks: vec![0; image.num_barriers],
                 lane_mask,
@@ -570,16 +699,26 @@ impl<'m> Machine<'m> {
                                 intact = false;
                                 break;
                             }
-                            if !(branch || is_warp_local(inst))
-                                || !batch_fault_free(&self.warps[w], mask, inst)
-                            {
+                            if !(branch || is_warp_local(inst)) {
                                 break;
                             }
+                            let c = match self.issue(w, npc, mask) {
+                                Ok(c) => c,
+                                // A batched issue must not raise: errors
+                                // surface in scheduling order, and one
+                                // raised from look-ahead could preempt
+                                // another warp's earlier fault. A
+                                // faulting ALU issue mutated nothing
+                                // (its kernel commits all lanes or
+                                // none), so it simply runs again — and
+                                // faults — in its own round.
+                                Err(SimError::Arithmetic { .. }) => break,
+                                Err(e) => return Err(e),
+                            };
                             if round_robin {
                                 let rr = &mut self.warps[w].rr_cursor;
                                 *rr = rr.wrapping_add(1);
                             }
-                            let c = self.issue(w, npc, mask)?;
                             busy += u64::from(c.max(1));
                             if branch {
                                 let warp = &self.warps[w];
@@ -705,11 +844,7 @@ impl<'m> Machine<'m> {
     }
 
     fn location(&self, warp: usize, lane: usize) -> ThreadLocation {
-        let w = &self.warps[warp];
-        if w.threads[lane].frames.is_empty() {
-            return ThreadLocation { warp, lane, func: FuncId(0), block: BlockId(0), inst: 0 };
-        }
-        let o = self.image.origin[w.pcs[lane]];
+        let o = self.image.origin[self.warps[warp].pcs[lane]];
         ThreadLocation { warp, lane, func: o.func, block: o.block, inst: o.inst as usize }
     }
 
@@ -1214,12 +1349,24 @@ impl<'m> Machine<'m> {
         Ok(cost)
     }
 
-    pub(crate) fn set_reg(&mut self, w: usize, lane: usize, r: simt_ir::Reg, v: Value) {
-        self.warps[w].threads[lane].frame_mut().regs[r.index()] = v;
-    }
-
-    pub(crate) fn advance(&mut self, w: usize, lane: usize) {
-        self.warps[w].pcs[lane] += 1;
+    /// Executes one ALU issue through the shared kernel table. A
+    /// refused lane leaves the warp untouched and names the error's
+    /// location.
+    fn exec_alu(
+        &mut self,
+        w: usize,
+        mask: u64,
+        op: AluOp,
+        dst: simt_ir::Reg,
+        lhs: Operand,
+        rhs: Operand,
+    ) -> Result<(), SimError> {
+        let Machine { warps, scratch, .. } = self;
+        let lp = WarpAlu { warp: &mut warps[w], stage: &mut scratch.stage, mask, dst, lhs, rhs };
+        op.dispatch(lp).map_err(|(l, a, b)| SimError::Arithmetic {
+            at: self.location(w, l),
+            message: op.fault(a, b),
+        })
     }
 
     fn exec(&mut self, w: usize, pc: usize, mask: u64) -> Result<u32, SimError> {
@@ -1232,63 +1379,25 @@ impl<'m> Machine<'m> {
         let mut cost = self.costs[pc];
         match *inst {
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                let warp = &mut self.warps[w];
-                let mut failed: Option<(usize, String)> = None;
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, lhs);
-                    let b = eval_in(f, rhs);
-                    match crate::alu::eval_bin(op, a, b) {
-                        Ok(v) => {
-                            f.regs[dst.index()] = v;
-                            warp.pcs[l] += 1;
-                        }
-                        Err(m) => {
-                            failed = Some((l, m));
-                            break;
-                        }
-                    }
-                }
-                if let Some((l, message)) = failed {
-                    return Err(SimError::Arithmetic { at: self.location(w, l), message });
-                }
+                self.exec_alu(w, mask, AluOp::Bin(op), dst, lhs, rhs)?;
             }
             DecodedInst::Un { op, dst, src } => {
-                let warp = &mut self.warps[w];
-                let mut failed: Option<(usize, String)> = None;
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, src);
-                    match crate::alu::eval_un(op, a) {
-                        Ok(v) => {
-                            f.regs[dst.index()] = v;
-                            warp.pcs[l] += 1;
-                        }
-                        Err(m) => {
-                            failed = Some((l, m));
-                            break;
-                        }
-                    }
-                }
-                if let Some((l, message)) = failed {
-                    return Err(SimError::Arithmetic { at: self.location(w, l), message });
-                }
+                let pad = Operand::Imm(Value::default());
+                self.exec_alu(w, mask, AluOp::Un(op), dst, src, pad)?;
             }
             DecodedInst::Mov { dst, src } => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = eval_in(f, src);
-                    warp.pcs[l] += 1;
-                }
+                let pad = Operand::Imm(Value::default());
+                self.exec_alu(w, mask, AluOp::Mov, dst, src, pad)?;
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
-                let warp = &mut self.warps[w];
+                let Warp { regs, pcs, .. } = &mut self.warps[w];
+                let (c, t, f) = (regs.src(cond), regs.src(if_true), regs.src(if_false));
+                let d = dst.index() * regs.width;
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let pick = if eval_in(f, cond).is_truthy() { if_true } else { if_false };
-                    f.regs[dst.index()] = eval_in(f, pick);
-                    warp.pcs[l] += 1;
+                    let at = regs.at[l];
+                    let pick = if c.read(&regs.vals, at).is_truthy() { t } else { f };
+                    regs.vals[at + d] = pick.read(&regs.vals, at);
+                    pcs[l] += 1;
                 }
             }
             DecodedInst::Load { dst, space, addr } => {
@@ -1303,14 +1412,16 @@ impl<'m> Machine<'m> {
                 // invalidate the lines they touch.
                 let cfg = self.cfg;
                 let Machine { warps, global, scratch, .. } = self;
-                let warp = &mut warps[w];
+                let Warp { regs, pcs, .. } = &mut warps[w];
+                let (ao, vo) = (regs.src(addr), regs.src(value));
+                let d = dst.index() * regs.width;
                 let addrs = &mut scratch.addrs;
                 addrs.clear();
                 let mut failed: Option<AccessFault> = None;
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, addr).as_i64();
-                    let v = eval_in(f, value);
+                    let at = regs.at[l];
+                    let a = ao.read(&regs.vals, at).as_i64();
+                    let v = vo.read(&regs.vals, at);
                     if a < 0 || a as usize >= global.len() {
                         failed = Some(AccessFault::Oob { lane: l, addr: a, size: global.len() });
                         break;
@@ -1323,9 +1434,9 @@ impl<'m> Machine<'m> {
                             break;
                         }
                     }
-                    f.regs[dst.index()] = old;
+                    regs.vals[at + d] = old;
                     addrs.push(a);
-                    warp.pcs[l] += 1;
+                    pcs[l] += 1;
                 }
                 Self::invalidate_lines(cfg, warps, &scratch.addrs);
                 if let Some(fault) = failed {
@@ -1335,31 +1446,36 @@ impl<'m> Machine<'m> {
             DecodedInst::Special { dst, kind } => {
                 let width = self.cfg.warp_width;
                 let n_threads = (self.warps.len() * width) as i64;
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let v = match kind {
-                        SpecialValue::Tid => Value::I64((w * width + l) as i64),
-                        SpecialValue::LaneId => Value::I64(l as i64),
-                        SpecialValue::WarpId => Value::I64(w as i64),
-                        SpecialValue::NumThreads => Value::I64(n_threads),
-                        SpecialValue::WarpWidth => Value::I64(width as i64),
-                    };
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = v;
-                    warp.pcs[l] += 1;
+                let Warp { regs, pcs, .. } = &mut self.warps[w];
+                match kind {
+                    SpecialValue::Tid => {
+                        regs.write_lanes(pcs, mask, dst, |l| Value::I64((w * width + l) as i64));
+                    }
+                    SpecialValue::LaneId => {
+                        regs.write_lanes(pcs, mask, dst, |l| Value::I64(l as i64))
+                    }
+                    SpecialValue::WarpId => {
+                        regs.write_lanes(pcs, mask, dst, |_| Value::I64(w as i64))
+                    }
+                    SpecialValue::NumThreads => {
+                        regs.write_lanes(pcs, mask, dst, |_| Value::I64(n_threads));
+                    }
+                    SpecialValue::WarpWidth => {
+                        regs.write_lanes(pcs, mask, dst, |_| Value::I64(width as i64));
+                    }
                 }
             }
             DecodedInst::Rng { dst, kind } => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    let v = match kind {
-                        RngKind::U63 => Value::I64(t.rng.next_u63()),
-                        RngKind::Unit => Value::F64(t.rng.next_unit()),
-                    };
-                    let f = t.frame_mut();
-                    f.regs[dst.index()] = v;
-                    warp.pcs[l] += 1;
+                let Warp { threads, regs, pcs, .. } = &mut self.warps[w];
+                match kind {
+                    RngKind::U63 => {
+                        regs.write_lanes(pcs, mask, dst, |l| Value::I64(threads[l].rng.next_u63()));
+                    }
+                    RngKind::Unit => {
+                        regs.write_lanes(pcs, mask, dst, |l| {
+                            Value::F64(threads[l].rng.next_unit())
+                        });
+                    }
                 }
             }
             DecodedInst::SyncThreads => {
@@ -1374,61 +1490,43 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Vote { dst, pred } => {
                 // Warp-synchronous: counts over the lanes issued together.
-                let warp = &mut self.warps[w];
-                let mut count = 0i64;
-                for l in lanes(mask) {
-                    if eval_in(warp.threads[l].frame(), pred).is_truthy() {
-                        count += 1;
-                    }
-                }
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    f.regs[dst.index()] = Value::I64(count);
-                    warp.pcs[l] += 1;
-                }
+                let Warp { regs, pcs, .. } = &mut self.warps[w];
+                let p = regs.src(pred);
+                let count =
+                    lanes(mask).filter(|&l| p.read(&regs.vals, regs.at[l]).is_truthy()).count();
+                regs.write_lanes(pcs, mask, dst, |_| Value::I64(count as i64));
             }
             DecodedInst::SeedRng { src } => {
                 let launch_mix = 0x5EED_u64; // stream domain separator
-                let warp = &mut self.warps[w];
+                let Warp { threads, regs, pcs, .. } = &mut self.warps[w];
+                let sv = regs.src(src);
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    let v = eval_in(t.frame(), src).as_i64() as u64;
-                    t.rng = SplitMix64::for_thread(v ^ launch_mix, v);
-                    warp.pcs[l] += 1;
+                    let v = sv.read(&regs.vals, regs.at[l]).as_i64() as u64;
+                    threads[l].rng = SplitMix64::for_thread(v ^ launch_mix, v);
+                    pcs[l] += 1;
                 }
             }
             DecodedInst::Call { entry_pc, num_regs, args, rets } => {
                 let arg_ops = image.operands(args);
-                let Machine { warps, scratch, .. } = self;
-                let warp = &mut warps[w];
-                let vals = &mut scratch.vals;
+                let len = num_regs as usize;
+                let Warp { threads, regs, pcs, .. } = &mut self.warps[w];
+                let width = regs.width;
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    // Arguments evaluate in the caller frame, staged
-                    // before the callee frame is pushed; the caller pc
-                    // advances so the return lands after the call.
-                    vals.clear();
-                    {
-                        let f = t.frame_mut();
-                        for a in arg_ops {
-                            vals.push(eval_in(f, *a));
-                        }
-                        // Suspend the caller: save its resume point;
-                        // the live pc moves to the callee.
-                        f.pc = warp.pcs[l] + 1;
+                    let frames = &mut threads[l].frames;
+                    let caller = frames.last_mut().expect("thread has no frame");
+                    // Suspend the caller: save its resume point; the
+                    // live pc moves to the callee.
+                    caller.pc = pcs[l] + 1;
+                    let base = caller.end();
+                    // Arguments evaluate in the caller's window, which
+                    // sits below the callee's: they move row to row.
+                    let from = regs.push_window(l, base, len);
+                    let to = regs.at[l];
+                    for (i, a) in arg_ops.iter().enumerate() {
+                        regs.vals[to + i * width] = regs.src(*a).read(&regs.vals, from);
                     }
-                    let mut frame = t.spare.pop().unwrap_or_else(|| Frame {
-                        pc: 0,
-                        regs: Vec::new(),
-                        ret_regs: PoolRange::EMPTY,
-                    });
-                    frame.pc = entry_pc as usize;
-                    frame.ret_regs = rets;
-                    frame.regs.clear();
-                    frame.regs.resize(num_regs as usize, Value::default());
-                    frame.regs[..vals.len()].copy_from_slice(vals);
-                    t.frames.push(frame);
-                    warp.pcs[l] = entry_pc as usize;
+                    frames.push(Frame { pc: entry_pc as usize, ret_regs: rets, base, len });
+                    pcs[l] = entry_pc as usize;
                 }
             }
             DecodedInst::UnresolvedCall { name } => {
@@ -1441,12 +1539,7 @@ impl<'m> Machine<'m> {
                 self.exec_barrier(w, mask, op);
                 self.metrics.barrier_ops += u64::from(mask.count_ones());
             }
-            DecodedInst::Skip => {
-                let warp = &mut self.warps[w];
-                for l in lanes(mask) {
-                    warp.pcs[l] += 1;
-                }
-            }
+            DecodedInst::Skip => self.warps[w].advance_lanes(mask),
             DecodedInst::Jump { target } => {
                 let warp = &mut self.warps[w];
                 for l in lanes(mask) {
@@ -1454,11 +1547,11 @@ impl<'m> Machine<'m> {
                 }
             }
             DecodedInst::Branch { cond, then_pc, else_pc } => {
-                let warp = &mut self.warps[w];
+                let Warp { regs, pcs, .. } = &mut self.warps[w];
+                let c = regs.src(cond);
                 let mut taken = 0u64;
                 for l in lanes(mask) {
-                    let f = warp.threads[l].frame();
-                    warp.pcs[l] = if eval_in(f, cond).is_truthy() {
+                    pcs[l] = if c.read(&regs.vals, regs.at[l]).is_truthy() {
                         taken |= 1 << l;
                         then_pc as usize
                     } else {
@@ -1488,36 +1581,31 @@ impl<'m> Machine<'m> {
             }
             DecodedInst::Return { values } => {
                 let value_ops = image.operands(values);
-                let Machine { warps, scratch, .. } = self;
-                let warp = &mut warps[w];
-                let vals = &mut scratch.vals;
+                let Warp { threads, regs, pcs, .. } = &mut self.warps[w];
+                let width = regs.width;
                 let mut exited = 0u64;
                 for l in lanes(mask) {
-                    let t = &mut warp.threads[l];
-                    vals.clear();
-                    {
-                        let f = t.frame();
-                        for v in value_ops {
-                            vals.push(eval_in(f, *v));
-                        }
-                    }
-                    let frame = t.frames.pop().expect("return without frame");
-                    if t.frames.is_empty() {
+                    let t = &mut threads[l];
+                    if t.frames.len() == 1 {
                         // Returning from the kernel frame behaves as exit
                         // (the verifier rejects this statically, but stay
                         // safe at runtime).
                         t.status = Status::Exited;
-                        t.frames.push(frame);
                         exited |= 1 << l;
                         continue;
                     }
-                    let ret_regs = image.regs(frame.ret_regs);
-                    let caller = t.frames.last_mut().expect("caller frame");
-                    for (r, v) in ret_regs.iter().zip(vals.iter()) {
-                        caller.regs[r.index()] = *v;
+                    let callee = t.frames.pop().expect("return without frame");
+                    let caller = t.frames.last().expect("caller frame");
+                    // The callee's window sits above the caller's, so
+                    // values move row to row; the window is released by
+                    // moving the lane's offset back down.
+                    let from = regs.at[l];
+                    let to = caller.base * width + l;
+                    for (r, v) in image.regs(callee.ret_regs).iter().zip(value_ops) {
+                        regs.vals[to + r.index() * width] = regs.src(*v).read(&regs.vals, from);
                     }
-                    warp.pcs[l] = caller.pc;
-                    t.spare.push(frame);
+                    regs.at[l] = to;
+                    pcs[l] = caller.pc;
                 }
                 if exited != 0 {
                     self.on_exit_mask(w, exited);
@@ -1556,48 +1644,28 @@ impl<'m> Machine<'m> {
         let addrs = &mut scratch.addrs;
         addrs.clear();
         let mut failed: Option<AccessFault> = None;
-        match space {
-            MemSpace::Global => {
-                for l in lanes(mask) {
-                    let f = warp.threads[l].frame_mut();
-                    let a = eval_in(f, addr).as_i64();
-                    addrs.push(a);
-                    if a < 0 || a as usize >= global.len() {
-                        failed = Some(AccessFault::Oob { lane: l, addr: a, size: global.len() });
-                        break;
-                    }
-                    match value {
-                        Some(v) => global[a as usize] = eval_in(f, v),
-                        None => {
-                            if let Some(dst) = dst {
-                                f.regs[dst.index()] = global[a as usize];
-                            }
-                        }
-                    }
-                    warp.pcs[l] += 1;
-                }
+        let ao = warp.regs.src(addr);
+        let vo = value.map(|v| warp.regs.src(v));
+        let d = dst.map(|r| r.index() * warp.regs.width);
+        let Warp { threads, regs, pcs, .. } = &mut *warp;
+        for l in lanes(mask) {
+            let at = regs.at[l];
+            let a = ao.read(&regs.vals, at).as_i64();
+            addrs.push(a);
+            let mem = match space {
+                MemSpace::Global => &mut *global,
+                MemSpace::Local => &mut threads[l].local,
+            };
+            if a < 0 || a as usize >= mem.len() {
+                failed = Some(AccessFault::Oob { lane: l, addr: a, size: mem.len() });
+                break;
             }
-            MemSpace::Local => {
-                for l in lanes(mask) {
-                    let Thread { frames, local, .. } = &mut warp.threads[l];
-                    let f = frames.last_mut().expect("thread has no frame");
-                    let a = eval_in(f, addr).as_i64();
-                    addrs.push(a);
-                    if a < 0 || a as usize >= local.len() {
-                        failed = Some(AccessFault::Oob { lane: l, addr: a, size: local.len() });
-                        break;
-                    }
-                    match value {
-                        Some(v) => local[a as usize] = eval_in(f, v),
-                        None => {
-                            if let Some(dst) = dst {
-                                f.regs[dst.index()] = local[a as usize];
-                            }
-                        }
-                    }
-                    warp.pcs[l] += 1;
-                }
+            match (vo, d) {
+                (Some(v), _) => mem[a as usize] = v.read(&regs.vals, at),
+                (None, Some(d)) => regs.vals[at + d] = mem[a as usize],
+                (None, None) => {}
             }
+            pcs[l] += 1;
         }
         let mut cost = base_cost;
         if space == MemSpace::Global {
@@ -1729,15 +1797,17 @@ enum AccessFault {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alloc_count;
     use crate::machine::Launch;
     use simt_ir::parse_and_link;
 
     /// A deliberately busy kernel: divergent branches, a loop, global
-    /// loads/stores, an atomic, a device-function call, RNG, a vote,
-    /// and convergence barriers — every hot-loop shape at once.
+    /// loads/stores, an atomic, device-function calls at two depths
+    /// (`@f` straight from the kernel on one arm, through `@g` on the
+    /// other), RNG, a vote, and convergence barriers — every hot-loop
+    /// shape at once.
     const STEADY_KERNEL: &str = "\
 kernel @k(params=1, regs=8, barriers=1, entry=bb0) {
 bb0:
@@ -1755,6 +1825,7 @@ bb1:
 bb2:
   %r5 = atomic_add [0], 1
   %r6 = vote %r2
+  call @g(%r6) -> (%r7)
   jmp bb3
 bb3:
   wait b0
@@ -1770,7 +1841,118 @@ bb0:
   %r3 = mul %r2, 2
   ret %r3
 }
+device @g(params=1, regs=3, barriers=0, entry=bb0) {
+bb0:
+  call @f(%r0, 5) -> (%r1)
+  %r2 = add %r1, 1
+  ret %r2
+}
 ";
+
+    /// Lanes of one warp reach the same device-function pcs at different
+    /// call depths: odd lanes call `@helper` from the kernel, even lanes
+    /// through `@wrap`, and every lane then recurses through `@fact` to
+    /// an RNG-chosen depth. Inside `@helper`, an RNG branch splits the
+    /// lanes again (per seed, in a sweep) and a convergence barrier
+    /// joins them back before the return.
+    pub(crate) const MIXED_DEPTH_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r0 = special.tid
+  %r1 = rem %r0, 2
+  %r2 = rng.u63
+  %r3 = rem %r2, 5
+  brdiv %r1, bb1, bb2
+bb1:
+  %r7 = mov 0
+  call @helper(%r3, %r0) -> (%r4)
+  jmp bb3
+bb2:
+  call @wrap(%r3, %r0) -> (%r4)
+  jmp bb3
+bb3:
+  call @fact(%r3) -> (%r5)
+  %r6 = add %r4, %r5
+  store global[%r0], %r6
+  exit
+}
+device @wrap(params=2, regs=4, barriers=0, entry=bb0) {
+bb0:
+  %r2 = add %r0, 1
+  call @helper(%r2, %r1) -> (%r3)
+  ret %r3
+}
+device @helper(params=2, regs=6, barriers=1, entry=bb0) {
+bb0:
+  %r2 = rng.u63
+  %r3 = rem %r2, 2
+  join b0
+  brdiv %r3, bb1, bb2
+bb1:
+  %r4 = mul %r0, %r1
+  jmp bb3
+bb2:
+  %r4 = add %r0, %r1
+  jmp bb3
+bb3:
+  wait b0
+  %r5 = add %r4, %r3
+  ret %r5
+}
+device @fact(params=1, regs=4, barriers=0, entry=bb0) {
+bb0:
+  %r1 = le %r0, 1
+  brdiv %r1, bb1, bb2
+bb1:
+  ret 1
+bb2:
+  %r2 = sub %r0, 1
+  call @fact(%r2) -> (%r3)
+  %r3 = mul %r3, %r0
+  ret %r3
+}
+";
+
+    /// The tree-walker and the decoded engine agree on a warp whose
+    /// lanes share device-function pcs at different call depths — and
+    /// the case is real: some issue of `@helper` runs lanes of both
+    /// depths at once.
+    #[test]
+    fn mixed_call_depths_match_the_tree_walker() {
+        let module = parse_and_link(MIXED_DEPTH_KERNEL).expect("kernel parses");
+        let image = DecodedImage::decode(&module);
+        let helper = image.func_by_name("helper").expect("helper exists");
+        let mut mixed = false;
+        for scheduler in [
+            SchedulerPolicy::Greedy,
+            SchedulerPolicy::MinPc,
+            SchedulerPolicy::MaxPc,
+            SchedulerPolicy::MostThreads,
+            SchedulerPolicy::RoundRobin,
+        ] {
+            for seed in 0..4 {
+                let cfg = SimConfig { scheduler, trace: true, ..SimConfig::default() };
+                let launch = Launch {
+                    kernel: "k".into(),
+                    num_warps: 2,
+                    args: vec![],
+                    global_mem: vec![Value::I64(0); 64],
+                    local_mem_size: 0,
+                    seed,
+                };
+                let decoded = run_image(&image, &cfg, &launch).expect("decoded run");
+                let reference =
+                    crate::reference::run_reference(&module, &cfg, &launch).expect("reference run");
+                assert_eq!(decoded.metrics, reference.metrics, "{scheduler:?} seed {seed}");
+                assert_eq!(decoded.global_mem, reference.global_mem, "{scheduler:?} seed {seed}");
+                let trace = decoded.trace.expect("trace on");
+                mixed |= trace.events().iter().any(|e| {
+                    e.func == helper && e.mask & 0x5555_5555 != 0 && e.mask & 0xAAAA_AAAA != 0
+                });
+            }
+        }
+        assert!(mixed, "no issue of @helper ran odd (depth 2) and even (depth 3) lanes together");
+    }
 
     /// The tentpole acceptance criterion: after warm-up, `step()` does
     /// not touch the heap. Counts allocations via the test binary's
@@ -1790,8 +1972,8 @@ bb0:
         };
         let mut m = Machine::new(&image, &cfg, &launch).expect("machine builds");
 
-        // Warm-up: grow every scratch buffer, frame pool, and the
-        // per-warp busy schedule to their high-water marks.
+        // Warm-up: grow every scratch buffer, frame stack, and register
+        // arena to their high-water marks.
         for _ in 0..500 {
             if m.step().expect("warm-up step") {
                 panic!("kernel finished during warm-up; enlarge the loop bound");

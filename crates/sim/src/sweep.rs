@@ -69,12 +69,13 @@
 //! with [`SimError::SweepUnsupported`] instead of emitting misstamped
 //! events.
 
+use crate::alu::{AluOp, LaneLoop};
 use crate::config::{ReconvergenceModel, SchedulerPolicy, SimConfig};
 use crate::decode::{DecodedImage, DecodedInst, PoolRange};
 use crate::error::{BarrierState, ReconDump, SimError, ThreadLocation};
 use crate::exec::{
-    is_warp_local, keeps_lockstep, run_image_with, CancelToken, Frame, Machine, Scratch, Status,
-    Thread, Warp, BATCH_LIMIT,
+    is_warp_local, keeps_lockstep, run_image_with, CancelToken, Frame, Machine, RegArena, Scratch,
+    Status, Thread, Warp, BATCH_LIMIT,
 };
 use crate::machine::{Launch, SimOutput};
 use crate::metrics::Metrics;
@@ -325,30 +326,15 @@ pub fn run_sweep(
     run_sweep_image(&image, cfg, sweep, None)
 }
 
-/// Stack-frame metadata shared by a sub-cohort's slots: structure
-/// (where the frame's register window sits in the SoA arena) is
-/// control, the register *values* inside the window are data.
-#[derive(Clone, Copy, Debug)]
-struct FrameMeta {
-    /// Saved pc; authoritative only while the frame is suspended,
-    /// exactly like [`Frame::pc`].
-    pc: usize,
-    /// Caller registers receiving this frame's return values.
-    ret_regs: PoolRange,
-    /// First register offset of this frame in the lane's value arena.
-    base: usize,
-    /// Number of registers in the frame.
-    len: usize,
-}
-
 /// One lane's *control* state, owned per sub-cohort: the frame
 /// structure and thread status every slot of the sub-cohort shares.
+/// Frame structure (where each [`Frame`]'s register window sits in the
+/// SoA arena) is control; the register *values* inside a window are
+/// data.
 #[derive(Clone, Debug)]
 struct CtlLane {
-    frames: Vec<FrameMeta>,
+    frames: Vec<Frame>,
     status: Status,
-    /// Arena high-water offset (== top frame's `base + len`).
-    top: usize,
 }
 
 /// One lane's *data* columns, shared by every sub-cohort: sub-cohorts
@@ -384,6 +370,11 @@ impl CtlLane {
         self.frames.last().expect("lane has no frame").base
     }
 
+    /// First arena row above the lane's frames.
+    fn top(&self) -> usize {
+        self.frames.last().expect("lane has no frame").end()
+    }
+
     /// Pushes a callee frame: extends the arena by `num_regs` offsets,
     /// default-initializing the new window for `slots` only — other
     /// sub-cohorts share the arena and may hold live values in these
@@ -397,13 +388,12 @@ impl CtlLane {
         ret_regs: PoolRange,
         num_regs: usize,
     ) {
-        let base = self.top;
-        self.top += num_regs;
-        let want = self.top * ns;
-        if d.vals.len() < want {
-            d.vals.resize(want, Value::default());
+        let base = self.top();
+        let top = base + num_regs;
+        if d.vals.len() < top * ns {
+            d.vals.resize(top * ns, Value::default());
         }
-        for r in base..self.top {
+        for r in base..top {
             let row = r * ns;
             for (lo, hi) in mask_runs(slots) {
                 for v in &mut d.vals[row + lo..row + hi] {
@@ -411,14 +401,12 @@ impl CtlLane {
                 }
             }
         }
-        self.frames.push(FrameMeta { pc, ret_regs, base, len: num_regs });
+        self.frames.push(Frame { pc, ret_regs, base, len: num_regs });
     }
 
     /// Pops the top frame, releasing its arena window.
-    fn pop_frame(&mut self) -> FrameMeta {
-        let m = self.frames.pop().expect("return without frame");
-        self.top = m.base;
-        m
+    fn pop_frame(&mut self) -> Frame {
+        self.frames.pop().expect("return without frame")
     }
 }
 
@@ -527,6 +515,85 @@ struct IssueCtx {
     /// exact cycle the unbatched timeline reaches that pick, so a class
     /// forking mid-batch replays on the true clock.
     pre_busy_until: u64,
+}
+
+/// The cohort's [`LaneLoop`]: one ALU issue over (lane mask × live
+/// slots). Operand and destination rows are resolved once per lane, and
+/// the slot loop walks contiguous runs of the slot mask so a full (or
+/// fragmented-but-runny) mask takes dense counted inner loops over the
+/// column slices — the shape the autovectorizer wants.
+struct CohortAlu<'a> {
+    cw: &'a mut CWarp,
+    dw: &'a mut DWarp,
+    ns: usize,
+    slots: u64,
+    mask: u64,
+    dst: simt_ir::Reg,
+    lhs: Operand,
+    rhs: Operand,
+}
+
+impl LaneLoop for CohortAlu<'_> {
+    /// `(slot, lane, lhs, rhs)` of every slot's first refused lane; the
+    /// slot's later lanes are skipped.
+    type Out = Vec<(usize, usize, Value, Value)>;
+
+    #[inline]
+    fn run<K: Fn(Value, Value) -> Option<Value>>(self, k: K, _can_fault: bool) -> Self::Out {
+        let CohortAlu { cw, dw, ns, slots, mask, dst, lhs, rhs } = self;
+        let mut faults = Vec::new();
+        let mut faulted = 0u64;
+        for l in lanes(mask) {
+            let base = cw.lanes_c[l].cur_base();
+            let dl = &mut dw.lanes_d[l];
+            let lr = dl.row(ns, base, lhs);
+            let rr = dl.row(ns, base, rhs);
+            let drow = (base + dst.index()) * ns;
+            for (lo, hi) in mask_runs(slots & !faulted) {
+                for s in lo..hi {
+                    let (a, b) = (dl.get(lr, s), dl.get(rr, s));
+                    match k(a, b) {
+                        Some(v) => dl.vals[drow + s] = v,
+                        None => {
+                            faulted |= 1 << s;
+                            faults.push((s, l, a, b));
+                        }
+                    }
+                }
+            }
+            cw.pcs[l] += 1;
+        }
+        faults
+    }
+}
+
+/// The cohort's batch-safety probe: runs an issue's kernel over every
+/// (lane, slot) without writing anything.
+struct CohortProbe<'a> {
+    cw: &'a CWarp,
+    dw: &'a DWarp,
+    ns: usize,
+    slots: u64,
+    mask: u64,
+    lhs: Operand,
+    rhs: Operand,
+}
+
+impl LaneLoop for CohortProbe<'_> {
+    /// Whether the kernel accepted every cell.
+    type Out = bool;
+
+    #[inline]
+    fn run<K: Fn(Value, Value) -> Option<Value>>(self, k: K, can_fault: bool) -> bool {
+        let CohortProbe { cw, dw, ns, slots, mask, lhs, rhs } = self;
+        !can_fault
+            || lanes(mask).all(|l| {
+                let base = cw.lanes_c[l].cur_base();
+                let dl = &dw.lanes_d[l];
+                let (lr, rr) = (dl.row(ns, base, lhs), dl.row(ns, base, rhs));
+                lanes(slots).all(|s| k(dl.get(lr, s), dl.get(rr, s)).is_some())
+            })
+    }
 }
 
 /// Per-access fault captured during a cohort issue, resolved to the
@@ -641,14 +708,13 @@ impl<'m> Cohort<'m> {
                     }
                 }
                 lanes_c.push(CtlLane {
-                    frames: vec![FrameMeta {
+                    frames: vec![Frame {
                         pc: entry,
                         ret_regs: PoolRange::EMPTY,
                         base: 0,
                         len: num_regs,
                     }],
                     status: Status::Runnable,
-                    top: num_regs,
                 });
                 lanes_d.push(DLane {
                     vals,
@@ -1205,11 +1271,11 @@ fn partition_classes<K: PartialEq + Copy>(live: u64, key: impl Fn(usize) -> K) -
 /// Compared: per warp — pcs, barrier masks, status masks, per-lane
 /// statuses, frame structure (depth, per-frame register count,
 /// return-register spans, and the saved pc of *suspended* frames; the
-/// top frame's [`FrameMeta::pc`] is stale by design on both sides and
+/// top frame's [`Frame::pc`] is stale by design on both sides and
 /// never read), `busy_until`, `rr_cursor`, `last_lanes`, `done`. Frame
-/// arena offsets (`base`, `top`) are implied by the per-frame lengths
-/// (the arena is a bump allocator), so equal lengths mean both planes
-/// address the same columns.
+/// window bases are implied by the per-frame lengths (the arena is a
+/// bump allocator), so equal lengths mean both planes address the same
+/// rows.
 fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
     a.warps.iter().zip(b.warps.iter()).all(|(aw, bw)| {
         if aw.done != bw.done
@@ -1225,16 +1291,22 @@ fn subs_match(a: &SubCohort, b: &SubCohort) -> bool {
         {
             return false;
         }
-        aw.lanes_c.iter().zip(bw.lanes_c.iter()).all(|(al, bl)| {
-            if al.status != bl.status || al.frames.len() != bl.frames.len() {
-                return false;
-            }
-            let top = al.frames.len() - 1;
-            al.frames.iter().zip(bl.frames.iter()).enumerate().all(|(i, (af, bf))| {
-                af.len == bf.len && af.ret_regs == bf.ret_regs && (i == top || af.pc == bf.pc)
-            })
-        })
+        aw.lanes_c
+            .iter()
+            .zip(bw.lanes_c.iter())
+            .all(|(al, bl)| al.status == bl.status && frames_match(&al.frames, &bl.frames))
     })
+}
+
+/// Whether two call stacks have the same structure: depth, window
+/// lengths (which imply the window bases), return-register spans, and
+/// the saved pcs of suspended frames (a top frame's saved pc is stale
+/// by design and never read).
+fn frames_match(a: &[Frame], b: &[Frame]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).enumerate().all(|(i, (x, y))| {
+            x.len == y.len && x.ret_regs == y.ret_regs && (i + 1 == a.len() || x.pc == y.pc)
+        })
 }
 
 /// Whether a detached machine's control plane equals a sub-cohort's —
@@ -1257,15 +1329,10 @@ fn control_matches(sub: &SubCohort, m: &Machine<'_>) -> bool {
         {
             return false;
         }
-        cw.lanes_c.iter().zip(mw.threads.iter()).all(|(cl, t)| {
-            if cl.status != t.status || cl.frames.len() != t.frames.len() {
-                return false;
-            }
-            let top = cl.frames.len() - 1;
-            cl.frames.iter().zip(t.frames.iter()).enumerate().all(|(i, (fm, f))| {
-                fm.len == f.regs.len() && fm.ret_regs == f.ret_regs && (i == top || fm.pc == f.pc)
-            })
-        })
+        cw.lanes_c
+            .iter()
+            .zip(mw.threads.iter())
+            .all(|(cl, t)| cl.status == t.status && frames_match(&cl.frames, &t.frames))
     })
 }
 
@@ -1347,35 +1414,28 @@ impl Cohort<'_> {
     }
 
     /// Whether executing `inst` over `mask` is guaranteed not to fault
-    /// in *any* live slot of `sub` — the cohort twin of the scalar
-    /// engine's `batch_fault_free`, widened across the seed axis. A
-    /// batched issue must be infallible: a per-seed fault resolves that
-    /// slot with the exact error its scalar run would raise, and
-    /// look-ahead would misstamp its round. Faultable (lane, slot)
-    /// operands leave the instruction to execute in its own round.
+    /// in *any* live slot of `sub`: the op's own kernel, from the shared
+    /// table, accepts every (lane, slot) operand pair. A batched issue
+    /// must be infallible: a per-seed fault resolves that slot with the
+    /// exact error its scalar run would raise, and look-ahead would
+    /// misstamp its round. Faultable operands leave the instruction to
+    /// execute in its own round.
     fn batch_fault_free_c(&self, sub: &SubCohort, w: usize, mask: u64, inst: &DecodedInst) -> bool {
-        let ns = self.nslots;
-        let slots = sub.slots;
-        let all = |lhs: Operand, rhs: Operand, f: &dyn Fn(Value, Value) -> bool| {
-            lanes(mask).all(|l| {
-                let base = sub.warps[w].lanes_c[l].cur_base();
-                let dl = &self.data[w].lanes_d[l];
-                let (lr, rr) = (dl.row(ns, base, lhs), dl.row(ns, base, rhs));
-                lanes(slots).all(|s| f(dl.get(lr, s), dl.get(rr, s)))
+        let probe = |op: AluOp, lhs, rhs| {
+            op.dispatch(CohortProbe {
+                cw: &sub.warps[w],
+                dw: &self.data[w],
+                ns: self.nslots,
+                slots: sub.slots,
+                mask,
+                lhs,
+                rhs,
             })
         };
         match *inst {
-            DecodedInst::Bin { op: BinOp::Div | BinOp::Rem, lhs, rhs, .. } => {
-                all(lhs, rhs, &|a, b| !(a.is_int() && b.is_int() && b.as_i64() == 0))
-            }
-            DecodedInst::Bin {
-                op: BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr,
-                lhs,
-                rhs,
-                ..
-            } => all(lhs, rhs, &|a, b| a.is_int() && b.is_int()),
-            DecodedInst::Un { op: simt_ir::UnOp::Not, src, .. } => {
-                all(src, src, &|a, _| a.is_int())
+            DecodedInst::Bin { op, lhs, rhs, .. } => probe(AluOp::Bin(op), lhs, rhs),
+            DecodedInst::Un { op, src, .. } => {
+                probe(AluOp::Un(op), src, Operand::Imm(Value::default()))
             }
             _ => true,
         }
@@ -1577,6 +1637,7 @@ impl<'m> Cohort<'m> {
     /// control plane into a standalone scalar [`Machine`].
     fn materialize(&self, sub: &SubCohort, s: usize, ctx: IssueCtx) -> Machine<'m> {
         let ns = self.nslots;
+        let width = self.cfg.warp_width;
         let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
         let warps = sub
             .warps
@@ -1584,30 +1645,31 @@ impl<'m> Cohort<'m> {
             .zip(self.data.iter())
             .enumerate()
             .map(|(wi, (cw, dw))| {
+                // Both arenas stack the same windows, so each lane's live
+                // rows copy across: cohort row `r` of slot `s` becomes
+                // row `r` of lane `l`.
+                let rows = cw.lanes_c.iter().map(CtlLane::top).max().unwrap_or(0);
+                let mut regs = RegArena::new(width, rows);
+                for (l, (cl, dl)) in cw.lanes_c.iter().zip(dw.lanes_d.iter()).enumerate() {
+                    for r in 0..cl.top() {
+                        regs.vals[r * width + l] = dl.vals[r * ns + s];
+                    }
+                    regs.at[l] = cl.cur_base() * width + l;
+                }
                 let threads = cw
                     .lanes_c
                     .iter()
                     .zip(dw.lanes_d.iter())
                     .map(|(cl, dl)| Thread {
-                        frames: cl
-                            .frames
-                            .iter()
-                            .map(|fm| Frame {
-                                pc: fm.pc,
-                                regs: (0..fm.len)
-                                    .map(|r| dl.vals[(fm.base + r) * ns + s])
-                                    .collect(),
-                                ret_regs: fm.ret_regs,
-                            })
-                            .collect(),
+                        frames: cl.frames.clone(),
                         status: cl.status,
                         rng: dl.rng[s],
                         local: (0..self.local_len).map(|c| dl.local[c * ns + s]).collect(),
-                        spare: Vec::new(),
                     })
                     .collect();
                 Warp {
                     threads,
+                    regs,
                     pcs: cw.pcs.clone(),
                     masks: cw.masks.clone(),
                     lane_mask: cw.lane_mask,
@@ -1652,6 +1714,7 @@ impl<'m> Cohort<'m> {
     /// records the metrics delta it accumulated while away.
     fn absorb(&mut self, si: usize, s: usize, m: &Machine<'_>) {
         let ns = self.nslots;
+        let width = self.cfg.warp_width;
         let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
         let Cohort { subs, bases, global, data, mshrs, .. } = self;
         let sub = &mut subs[si];
@@ -1665,16 +1728,16 @@ impl<'m> Cohort<'m> {
                 dw.cache_tags[ln * ns + s] = mw.cache_tags[ln];
             }
             dw.hier_tags[s] = mw.mem_tags.clone();
-            for ((cl, dl), t) in cw.lanes_c.iter().zip(dw.lanes_d.iter_mut()).zip(mw.threads.iter())
-            {
+            let lanes = cw.lanes_c.iter().zip(dw.lanes_d.iter_mut()).zip(mw.threads.iter());
+            for (l, ((cl, dl), t)) in lanes.enumerate() {
                 dl.rng[s] = t.rng;
                 for (c, v) in t.local.iter().enumerate() {
                     dl.local[c * ns + s] = *v;
                 }
-                for (fm, f) in cl.frames.iter().zip(t.frames.iter()) {
-                    for (r, v) in f.regs.iter().enumerate() {
-                        dl.vals[(fm.base + r) * ns + s] = *v;
-                    }
+                // Matching control means matching windows: the lane's
+                // live rows copy back, row for row.
+                for r in 0..cl.top() {
+                    dl.vals[r * ns + s] = mw.regs.vals[r * width + l];
                 }
             }
         }
@@ -1700,104 +1763,15 @@ impl Cohort<'_> {
         let cost = self.costs[pc];
         match *inst {
             DecodedInst::Bin { op, dst, lhs, rhs } => {
-                // The op (and in lockstep practice the operand types)
-                // is invariant across the slot columns, so dispatch it
-                // once out here: every arm instantiates `alu_c` with a
-                // tiny monomorphic kernel the slot-run loop can inline,
-                // instead of re-running `eval_bin`'s full op match per
-                // (lane, slot) element. Each kernel reproduces the
-                // corresponding `eval_bin` arm bit-for-bit, delegating
-                // back to it on the mixed-type/fault paths.
-                use simt_ir::BinOp::*;
-                macro_rules! arith {
-                    ($int:expr, $flt:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| {
-                            Ok(match (a, b) {
-                                (Value::I64(x), Value::I64(y)) => Value::I64($int(x, y)),
-                                _ => Value::F64($flt(a.as_f64(), b.as_f64())),
-                            })
-                        })
-                    };
-                }
-                macro_rules! cmp {
-                    ($int:expr, $flt:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| {
-                            Ok(Value::bool(match (a, b) {
-                                (Value::I64(x), Value::I64(y)) => $int(&x, &y),
-                                _ => $flt(&a.as_f64(), &b.as_f64()),
-                            }))
-                        })
-                    };
-                }
-                macro_rules! ints {
-                    ($f:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, lhs, rhs, |a, b| match (a, b) {
-                            (Value::I64(x), Value::I64(y)) => $f(x, y),
-                            _ => crate::alu::eval_bin(op, a, b),
-                        })
-                    };
-                }
-                match op {
-                    Add => arith!(i64::wrapping_add, |x: f64, y: f64| x + y),
-                    Sub => arith!(i64::wrapping_sub, |x: f64, y: f64| x - y),
-                    Mul => arith!(i64::wrapping_mul, |x: f64, y: f64| x * y),
-                    Min => arith!(i64::min, f64::min),
-                    Max => arith!(i64::max, f64::max),
-                    Div => ints!(|x: i64, y: i64| if y == 0 {
-                        Err("integer division by zero".to_string())
-                    } else {
-                        Ok(Value::I64(x.wrapping_div(y)))
-                    }),
-                    Rem => ints!(|x: i64, y: i64| if y == 0 {
-                        Err("integer remainder by zero".to_string())
-                    } else {
-                        Ok(Value::I64(x.wrapping_rem(y)))
-                    }),
-                    And => ints!(|x: i64, y: i64| Ok(Value::I64(x & y))),
-                    Or => ints!(|x: i64, y: i64| Ok(Value::I64(x | y))),
-                    Xor => ints!(|x: i64, y: i64| Ok(Value::I64(x ^ y))),
-                    Shl => ints!(|x: i64, y: i64| Ok(Value::I64(
-                        ((x as u64) << (y as u64 & 63)) as i64
-                    ))),
-                    Shr => ints!(|x: i64, y: i64| Ok(Value::I64(
-                        ((x as u64) >> (y as u64 & 63)) as i64
-                    ))),
-                    Eq => cmp!(i64::eq, f64::eq),
-                    Ne => cmp!(i64::ne, f64::ne),
-                    Lt => cmp!(i64::lt, f64::lt),
-                    Le => cmp!(i64::le, f64::le),
-                    Gt => cmp!(i64::gt, f64::gt),
-                    Ge => cmp!(i64::ge, f64::ge),
-                }
+                self.alu_c(sub, pc, mask, w, AluOp::Bin(op), dst, lhs, rhs);
             }
             DecodedInst::Un { op, dst, src } => {
                 let pad = Operand::Imm(Value::default());
-                use simt_ir::UnOp::*;
-                macro_rules! un {
-                    ($f:expr) => {
-                        self.alu_c(sub, pc, mask, w, dst, src, pad, $f)
-                    };
-                }
-                match op {
-                    Not => un!(|a, _| crate::alu::eval_un(op, a)),
-                    Neg => un!(|a, _| Ok(match a {
-                        Value::I64(v) => Value::I64(v.wrapping_neg()),
-                        Value::F64(v) => Value::F64(-v),
-                    })),
-                    Sqrt => un!(|a, _| Ok(Value::F64(a.as_f64().sqrt()))),
-                    Exp => un!(|a, _| Ok(Value::F64(a.as_f64().exp()))),
-                    Log => un!(|a, _| Ok(Value::F64(a.as_f64().ln()))),
-                    Abs => un!(|a, _| Ok(match a {
-                        Value::I64(v) => Value::I64(v.wrapping_abs()),
-                        Value::F64(v) => Value::F64(v.abs()),
-                    })),
-                    ItoF => un!(|a, _| Ok(Value::F64(a.as_f64()))),
-                    FtoI => un!(|a, _| Ok(Value::I64(a.as_i64()))),
-                }
+                self.alu_c(sub, pc, mask, w, AluOp::Un(op), dst, src, pad);
             }
             DecodedInst::Mov { dst, src } => {
                 let pad = Operand::Imm(Value::default());
-                self.alu_c(sub, pc, mask, w, dst, src, pad, |a, _| Ok(a));
+                self.alu_c(sub, pc, mask, w, AluOp::Mov, dst, src, pad);
             }
             DecodedInst::Sel { dst, cond, if_true, if_false } => {
                 self.data_c(sub, w, mask, |dl, ns, base, s, _l| {
@@ -2022,7 +1996,6 @@ impl Cohort<'_> {
                             // Returning from the kernel frame behaves as
                             // exit, like the scalar engine.
                             cl.status = Status::Exited;
-                            cl.top = fm.base + fm.len;
                             cl.frames.push(fm);
                             exited |= 1 << l;
                             continue;
@@ -2057,13 +2030,10 @@ impl Cohort<'_> {
         cost
     }
 
-    /// Shared loop shape for the fallible per-(lane, slot) ALU arms: a
-    /// failing slot resolves to its own `Arithmetic` error at the first
-    /// faulting lane in lane order, exactly like its scalar run. Operand
-    /// and destination rows are resolved once per lane, and the slot
-    /// loop walks contiguous runs of the slot mask so a full (or
-    /// fragmented-but-runny) mask takes dense counted inner loops over
-    /// the column slices — the shape the autovectorizer wants.
+    /// Executes one ALU issue across every slot of `sub` through the
+    /// shared kernel table: the op is dispatched once, and a slot whose
+    /// lane faults resolves to its own `Arithmetic` error at the first
+    /// faulting lane in lane order, exactly like its scalar run.
     #[allow(clippy::too_many_arguments)]
     fn alu_c(
         &mut self,
@@ -2071,41 +2041,24 @@ impl Cohort<'_> {
         pc: usize,
         mask: u64,
         w: usize,
+        op: AluOp,
         dst: simt_ir::Reg,
         lhs: Operand,
         rhs: Operand,
-        f: impl Fn(Value, Value) -> Result<Value, String>,
     ) {
-        let ns = self.nslots;
-        let slots = sub.slots;
-        let mut faults: Vec<(usize, usize, String)> = Vec::new();
-        let mut faulted = 0u64;
-        {
-            let cw = &mut sub.warps[w];
-            let dw = &mut self.data[w];
-            for l in lanes(mask) {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                let lr = dl.row(ns, base, lhs);
-                let rr = dl.row(ns, base, rhs);
-                let drow = (base + dst.index()) * ns;
-                for (lo, hi) in mask_runs(slots & !faulted) {
-                    for s in lo..hi {
-                        match f(dl.get(lr, s), dl.get(rr, s)) {
-                            Ok(v) => dl.vals[drow + s] = v,
-                            Err(m) => {
-                                faulted |= 1 << s;
-                                faults.push((s, l, m));
-                            }
-                        }
-                    }
-                }
-                cw.pcs[l] += 1;
-            }
-        }
-        for (s, l, message) in faults {
+        let faults = op.dispatch(CohortAlu {
+            cw: &mut sub.warps[w],
+            dw: &mut self.data[w],
+            ns: self.nslots,
+            slots: sub.slots,
+            mask,
+            dst,
+            lhs,
+            rhs,
+        });
+        for (s, l, a, b) in faults {
             let at = self.location_at(w, l, pc);
-            self.resolve_err(sub, s, SimError::Arithmetic { at, message });
+            self.resolve_err(sub, s, SimError::Arithmetic { at, message: op.fault(a, b) });
         }
     }
 
@@ -3099,6 +3052,27 @@ bb0:
             let stats = assert_matches_scalar(CALL_DIVERGE_KERNEL, &cfg, &sweep);
             assert!(stats.forks > 0, "{policy:?}: call-depth divergence forks: {stats:?}");
         }
+    }
+
+    #[test]
+    fn mixed_call_depth_explosion_detaches_and_stays_exact() {
+        // Lanes sit in `@helper` at two call depths when its RNG branch
+        // splits 48 seeds into ~48 taken-mask classes: past the cap,
+        // the escape hatch projects multi-frame register windows into
+        // scalar machines (and, once the barrier realigns them, copies
+        // them back).
+        let kernel = crate::exec::tests::MIXED_DEPTH_KERNEL;
+        let (mut detached, mut rejoined) = (false, false);
+        for policy in all_policies() {
+            let cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+            let sweep = SweepLaunch::new(launch("k", 2, 64, vec![]), 0, 48);
+            let stats = assert_matches_scalar(kernel, &cfg, &sweep);
+            assert!(stats.forks > 0, "{policy:?}: {stats:?}");
+            detached |= stats.detaches > 0;
+            rejoined |= stats.rejoins > 0;
+        }
+        assert!(detached, "some policy must take the escape hatch");
+        assert!(rejoined, "some detached seed must rejoin");
     }
 
     #[test]

@@ -207,9 +207,17 @@ fn recon_model_knob_round_trips_and_reaches_metrics() {
 fn sigterm_mid_flight_drains_without_dropping() {
     let (mut child, mut stdout, addr) = spawn_server(&["--workers", "1"]);
 
-    // Park a long request (several seconds of simulation) in the worker,
-    // then deliver SIGTERM while it is running.
-    let body = spin_body(300_000, 120_000);
+    // Park a long request (about two seconds of simulation) in the
+    // worker, then deliver SIGTERM while it is running. Its length is
+    // sized from a timed short request, so it stays long next to the
+    // 300 ms head start however fast this build simulates.
+    let probe = 20_000;
+    let start = Instant::now();
+    let (code, reply) = post_eval(&addr, &spin_body(probe, 120_000));
+    assert_eq!(code, 200, "{reply}");
+    let per_iter = start.elapsed().as_secs_f64() / probe as f64;
+    let iters = ((2.0 / per_iter) as u64).clamp(probe, 100_000_000);
+    let body = spin_body(iters, 120_000);
     let in_flight = std::thread::spawn(move || post_eval(&addr, &body));
     std::thread::sleep(Duration::from_millis(300));
 
