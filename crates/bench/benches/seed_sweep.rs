@@ -6,21 +6,32 @@
 //! machines — both annotated with the summed simulated cycles so the
 //! report prints comparable cycles/sec. Covered workloads are the Monte
 //! Carlo registry entries (lockstep fast path) plus the seed-divergent
-//! stressors (fork/merge path). This is the Criterion-side view of the
-//! `sweep/*` / `sweep_scalar/*` entries `perfbench` snapshots into
-//! `BENCH_<n>.json`.
+//! stressors (fork/merge path). `sweep_hier/<name>` runs the lookup
+//! kernels' 32-seed cohort under the tight-MSHR hierarchy of `figures
+//! ablate-mem` (the cohort's shared hierarchy walk). This is the
+//! Criterion-side view of the `sweep/*` / `sweep_scalar/*` entries
+//! `perfbench` snapshots into `BENCH_<n>.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use simt_sim::{run_image, run_sweep_image, SimConfig, SweepLaunch, DEFAULT_SEED};
+use simt_sim::{run_image, run_sweep_image, MemHierarchy, SimConfig, SweepLaunch, DEFAULT_SEED};
 use specrecon_bench::perf::MONTE_CARLO;
 use workloads::eval::{with_warps, Engine};
 use workloads::{registry, seedstorm};
 
 const SEEDS: u64 = 32;
 
+/// The tight-MSHR L1/L2/DRAM hierarchy of `figures ablate-mem` at its
+/// smallest L1.
+const TIGHT_MSHR: &str =
+    "l1:lines=16,cells=16,lat=2,mshrs=1;l2:lines=128,cells=16,lat=8,mshrs=2;dram:lat=48,extra=4";
+
 fn bench_seed_sweep(c: &mut Criterion) {
     let engine = Engine::new(1);
     let cfg = SimConfig::default();
+    let hier_cfg = SimConfig {
+        mem: Some(MemHierarchy::parse(TIGHT_MSHR, &cfg.latency).expect("valid hierarchy spec")),
+        ..SimConfig::default()
+    };
     let mut g = c.benchmark_group("seed_sweep");
     let mut pool: Vec<workloads::Workload> =
         registry().into_iter().filter(|w| MONTE_CARLO.contains(&w.name)).collect();
@@ -48,6 +59,18 @@ fn bench_seed_sweep(c: &mut Criterion) {
                 }
             });
         });
+        if matches!(w.name, "rsbench" | "xsbench") {
+            let out = run_sweep_image(&image, &hier_cfg, &sweep, None).expect("sweep runs");
+            let hier_cycles: u64 = out
+                .runs
+                .iter()
+                .map(|r| r.result.as_ref().expect("seed run succeeds").metrics.cycles)
+                .sum();
+            g.throughput(Throughput::Elements(hier_cycles));
+            g.bench_with_input(BenchmarkId::new("sweep_hier", w.name), &sweep, |b, sweep| {
+                b.iter(|| run_sweep_image(&image, &hier_cfg, sweep, None).expect("sweep runs"));
+            });
+        }
     }
     g.finish();
 }

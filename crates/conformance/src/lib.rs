@@ -46,3 +46,46 @@ pub use shrink::shrink;
 pub fn configured_cases(default: u32) -> u32 {
     std::env::var("CONFORMANCE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
+
+/// The genome seed named by `CONFORMANCE_SEED` (`0x`-prefixed hex or
+/// decimal), the seed every `replay_env_seed` test replays; `None` when
+/// the variable is unset or malformed.
+pub fn replay_seed() -> Option<u64> {
+    std::env::var("CONFORMANCE_SEED").ok().and_then(|v| {
+        let v = v.trim();
+        v.strip_prefix("0x")
+            .map(|h| u64::from_str_radix(h, 16).ok())
+            .unwrap_or_else(|| v.parse().ok())
+    })
+}
+
+/// Demands two engines' results agree bit-identically — equal metrics
+/// and final global memory, or equal errors — naming the first
+/// difference under `what`.
+pub fn compare_outputs(
+    left: &Result<simt_sim::SimOutput, simt_sim::SimError>,
+    right: &Result<simt_sim::SimOutput, simt_sim::SimError>,
+    what: &str,
+) -> Result<(), String> {
+    match (left, right) {
+        (Ok(x), Ok(y)) => {
+            if x.metrics != y.metrics {
+                return Err(format!(
+                    "{what}: metrics diverge\nleft:  {:?}\nright: {:?}",
+                    x.metrics, y.metrics
+                ));
+            }
+            if x.global_mem != y.global_mem {
+                let cell = x.global_mem.iter().zip(&y.global_mem).position(|(p, q)| p != q);
+                return Err(format!("{what}: global memory diverges at cell {cell:?}"));
+            }
+            Ok(())
+        }
+        (Err(x), Err(y)) if x == y => Ok(()),
+        (x, y) => Err(format!(
+            "{what}: outcomes diverge\nleft:  {:?}\nright: {:?}",
+            x.as_ref().err(),
+            y.as_ref().err()
+        )),
+    }
+}

@@ -22,11 +22,11 @@
 
 use conformance::oracle::POLICIES;
 use conformance::program::spec_strategy;
-use conformance::{build_module, ProgramSpec};
+use conformance::{build_module, compare_outputs, ProgramSpec};
 use proptest::prelude::*;
 use simt_sim::{
-    run, run_reference, run_sweep, CacheConfig, Launch, MemHierarchy, MemStats, Metrics, SimConfig,
-    SimOutput, SweepLaunch, DEFAULT_SEED,
+    run, run_reference, run_sweep, CacheConfig, Launch, MemHierarchy, MemStats, SimConfig,
+    SimError, SimOutput, SweepLaunch, DEFAULT_SEED,
 };
 
 /// Instances per sweep comparison (small: the sweep engine's own
@@ -37,39 +37,19 @@ const INSTANCES: u64 = 4;
 /// Cycle budget per run (mirrors the oracle's).
 const MAX_CYCLES: u64 = 5_000_000;
 
-/// Metrics with the hierarchy-only counters removed, so a legacy run
-/// (which never populates them) compares equal to its hierarchy twin.
-fn strip_mem(m: &Metrics) -> Metrics {
-    let mut m = m.clone();
-    m.mem = MemStats::default();
-    m
-}
-
-fn compare_outputs(
-    legacy: &Result<SimOutput, simt_sim::SimError>,
-    hier: &Result<SimOutput, simt_sim::SimError>,
+/// Compares a legacy run with its hierarchy twin, with the
+/// hierarchy-only counters removed from the twin (a legacy run never
+/// populates them).
+fn compare_legacy(
+    legacy: &Result<SimOutput, SimError>,
+    hier: &Result<SimOutput, SimError>,
     what: &str,
 ) -> Result<(), String> {
-    match (legacy, hier) {
-        (Ok(l), Ok(h)) => {
-            if l.metrics != strip_mem(&h.metrics) {
-                return Err(format!(
-                    "{what}: metrics diverge\nlegacy: {:?}\nhier:   {:?}",
-                    l.metrics, h.metrics
-                ));
-            }
-            if l.global_mem != h.global_mem {
-                return Err(format!("{what}: global memory diverges"));
-            }
-            Ok(())
-        }
-        (Err(a), Err(b)) if a == b => Ok(()),
-        (a, b) => Err(format!(
-            "{what}: outcomes diverge\nlegacy: {:?}\nhier:   {:?}",
-            a.as_ref().map(|_| "ok"),
-            b.as_ref().map(|_| "ok"),
-        )),
-    }
+    let stripped = hier.clone().map(|mut h| {
+        h.metrics.mem = MemStats::default();
+        h
+    });
+    compare_outputs(legacy, &stripped, what)
 }
 
 /// Runs `legacy_cfg` and `hier_cfg` over the spec's program on all
@@ -87,12 +67,12 @@ fn check_degenerate(
     // Decoded hot loop.
     let l = run(&module, legacy_cfg, &base);
     let h = run(&module, hier_cfg, &base);
-    compare_outputs(&l, &h, &format!("{what}/decoded"))?;
+    compare_legacy(&l, &h, &format!("{what}/decoded"))?;
 
     // Tree-walking reference oracle.
     let l = run_reference(&module, legacy_cfg, &base);
     let h = run_reference(&module, hier_cfg, &base);
-    compare_outputs(&l, &h, &format!("{what}/reference"))?;
+    compare_legacy(&l, &h, &format!("{what}/reference"))?;
 
     // Seed-sweep cohort, per seed.
     let seed_lo = DEFAULT_SEED.wrapping_add(spec.seed & 0xFFFF);
@@ -102,7 +82,7 @@ fn check_degenerate(
     let hs = run_sweep(&module, hier_cfg, &sweep)
         .map_err(|e| format!("{what}/sweep: hier sweep failed: {e}"))?;
     for (lr, hr) in ls.runs.iter().zip(hs.runs.iter()) {
-        compare_outputs(&lr.result, &hr.result, &format!("{what}/sweep seed {}", lr.seed))?;
+        compare_legacy(&lr.result, &hr.result, &format!("{what}/sweep seed {}", lr.seed))?;
     }
     Ok(())
 }
@@ -156,12 +136,7 @@ proptest! {
 /// `fuzz_equivalence::replay_env_seed`).
 #[test]
 fn replay_env_seed() {
-    let Some(seed) = std::env::var("CONFORMANCE_SEED").ok().and_then(|v| {
-        let v = v.trim();
-        v.strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).ok())
-            .unwrap_or_else(|| v.parse().ok())
-    }) else {
+    let Some(seed) = conformance::replay_seed() else {
         return;
     };
     let spec = ProgramSpec::generate(seed);

@@ -190,12 +190,7 @@ proptest! {
 /// `fuzz_equivalence::replay_env_seed`).
 #[test]
 fn replay_env_seed() {
-    let Some(seed) = std::env::var("CONFORMANCE_SEED").ok().and_then(|v| {
-        let v = v.trim();
-        v.strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).ok())
-            .unwrap_or_else(|| v.parse().ok())
-    }) else {
+    let Some(seed) = conformance::replay_seed() else {
         return;
     };
     let spec = ProgramSpec::generate(seed);

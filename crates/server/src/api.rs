@@ -397,7 +397,14 @@ pub fn execute(
         }
         if let Some(m) = metrics {
             let s = &out.stats;
-            m.record_sweep(s.forks, s.merges, s.scalar_steps, s.occupancy_sum, s.lockstep_issues);
+            m.record_sweep(
+                s.forks,
+                s.merges,
+                s.scalar_steps,
+                s.occupancy_sum,
+                s.lockstep_issues,
+                &s.occupancy_hist,
+            );
         }
         sweep_stats = Some(out.stats);
     } else {

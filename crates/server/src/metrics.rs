@@ -4,6 +4,7 @@
 //! a cumulative-bucket latency histogram for `/v1/eval`, and gauges
 //! sampled at scrape time (queue depth, compiled-image cache counters).
 
+use simt_sim::sweep::{OCCUPANCY_BUCKETS, OCCUPANCY_BUCKET_LABELS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::eval::CacheStats;
 
@@ -43,9 +44,12 @@ pub struct ServerMetrics {
     /// Lockstep issues across all sweep requests (occupancy denominator).
     sweep_issues: AtomicU64,
     /// Summed issue widths across all sweep requests (occupancy
-    /// numerator: `sweep_occupancy_sum / sweep_issues` is the mean
-    /// slots-per-issue).
+    /// numerator: the ratio of the two counters' rates is the recent
+    /// mean slots-per-issue).
     sweep_occupancy_sum: AtomicU64,
+    /// Lockstep issues by issuing sub-cohort width, bucketed like
+    /// [`OCCUPANCY_BUCKET_LABELS`].
+    sweep_occupancy_hist: [AtomicU64; OCCUPANCY_BUCKETS],
     /// Cache hits per memory-hierarchy level (index 0 = L1) across all
     /// hierarchy-model runs.
     mem_hits: [AtomicU64; 3],
@@ -113,12 +117,16 @@ impl ServerMetrics {
         scalar_steps: u64,
         occupancy_sum: u64,
         lockstep_issues: u64,
+        occupancy_hist: &[u64; OCCUPANCY_BUCKETS],
     ) {
         self.sweep_forks.fetch_add(forks, Ordering::Relaxed);
         self.sweep_merges.fetch_add(merges, Ordering::Relaxed);
         self.sweep_scalar_steps.fetch_add(scalar_steps, Ordering::Relaxed);
         self.sweep_occupancy_sum.fetch_add(occupancy_sum, Ordering::Relaxed);
         self.sweep_issues.fetch_add(lockstep_issues, Ordering::Relaxed);
+        for (c, &n) in self.sweep_occupancy_hist.iter().zip(occupancy_hist) {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Folds one request's hardware-reconvergence counters into the
@@ -271,16 +279,34 @@ impl ServerMetrics {
             self.sweep_scalar_steps.load(Ordering::Relaxed)
         );
         out.push_str(
-            "# HELP specrecon_sweep_mean_occupancy Mean slots per lockstep issue over all sweeps.\n\
-             # TYPE specrecon_sweep_mean_occupancy gauge\n",
+            "# HELP specrecon_sweep_lockstep_issues_total Lockstep issues across all seed sweeps.\n\
+             # TYPE specrecon_sweep_lockstep_issues_total counter\n",
         );
-        let issues = self.sweep_issues.load(Ordering::Relaxed);
-        let occ = if issues == 0 {
-            0.0
-        } else {
-            self.sweep_occupancy_sum.load(Ordering::Relaxed) as f64 / issues as f64
-        };
-        let _ = writeln!(out, "specrecon_sweep_mean_occupancy {occ}");
+        let _ = writeln!(
+            out,
+            "specrecon_sweep_lockstep_issues_total {}",
+            self.sweep_issues.load(Ordering::Relaxed)
+        );
+        out.push_str(
+            "# HELP specrecon_sweep_occupancy_slots_total Seed slots served by lockstep issues across all seed sweeps (divide its rate by the issues' rate for recent mean occupancy).\n\
+             # TYPE specrecon_sweep_occupancy_slots_total counter\n",
+        );
+        let _ = writeln!(
+            out,
+            "specrecon_sweep_occupancy_slots_total {}",
+            self.sweep_occupancy_sum.load(Ordering::Relaxed)
+        );
+        out.push_str(
+            "# HELP specrecon_sweep_issues_by_occupancy_total Lockstep issues by issuing sub-cohort width (slots).\n\
+             # TYPE specrecon_sweep_issues_by_occupancy_total counter\n",
+        );
+        for (label, c) in OCCUPANCY_BUCKET_LABELS.iter().zip(&self.sweep_occupancy_hist) {
+            let _ = writeln!(
+                out,
+                "specrecon_sweep_issues_by_occupancy_total{{slots=\"{label}\"}} {}",
+                c.load(Ordering::Relaxed)
+            );
+        }
 
         for (what, help, counters) in [
             ("hits", "Cache hits", &self.mem_hits),
@@ -399,17 +425,34 @@ mod tests {
     fn sweep_counters_accumulate_and_render() {
         let m = ServerMetrics::default();
         let empty = CacheStats { hits: 0, misses: 0, evictions: 0, entries: 0 };
-        // Before any sweep, the occupancy gauge must not divide by zero.
+        // Before any sweep, every occupancy counter renders as zero.
         let text = m.render(0, 0, 8, CacheStats { ..empty });
-        assert!(text.contains("specrecon_sweep_mean_occupancy 0"), "{text}");
-        m.record_sweep(3, 2, 0, 96, 4);
-        m.record_sweep(1, 1, 5, 32, 4);
+        assert!(text.contains("specrecon_sweep_lockstep_issues_total 0"), "{text}");
+        assert!(text.contains("specrecon_sweep_occupancy_slots_total 0"), "{text}");
+        assert!(
+            text.contains("specrecon_sweep_issues_by_occupancy_total{slots=\"1\"} 0"),
+            "{text}"
+        );
+        m.record_sweep(3, 2, 0, 96, 4, &[0, 0, 0, 0, 0, 0, 4]);
+        m.record_sweep(1, 1, 5, 32, 4, &[1, 1, 0, 0, 0, 1, 1]);
         let text = m.render(0, 0, 8, empty);
         assert!(text.contains("specrecon_sweep_forks_total 4"), "{text}");
         assert!(text.contains("specrecon_sweep_merges_total 3"), "{text}");
         assert!(text.contains("specrecon_sweep_scalar_steps_total 5"), "{text}");
-        // (96 + 32) / (4 + 4) = 16 mean slots per issue.
-        assert!(text.contains("specrecon_sweep_mean_occupancy 16"), "{text}");
+        // Sum and count stay raw counters, so `rate()` of their ratio is
+        // the recent mean occupancy: (96 + 32) / (4 + 4) = 16 here.
+        assert!(text.contains("specrecon_sweep_lockstep_issues_total 8"), "{text}");
+        assert!(text.contains("specrecon_sweep_occupancy_slots_total 128"), "{text}");
+        assert!(
+            text.contains("# TYPE specrecon_sweep_issues_by_occupancy_total counter"),
+            "{text}"
+        );
+        for (label, n) in [("1", 1), ("2", 1), ("3-4", 0), ("17-32", 1), ("33-64", 5)] {
+            let line =
+                format!("specrecon_sweep_issues_by_occupancy_total{{slots=\"{label}\"}} {n}\n");
+            assert!(text.contains(&line), "missing {line:?} in {text}");
+        }
+        assert!(!text.contains("specrecon_sweep_mean_occupancy"), "{text}");
     }
 
     #[test]

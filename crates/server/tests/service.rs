@@ -190,8 +190,15 @@ fn sweep_requests_export_fork_merge_counters() {
         metrics.body
     );
     assert!(
-        scrape_gauge(&metrics.body, "specrecon_sweep_mean_occupancy") > 1.0,
+        scrape_gauge(&metrics.body, "specrecon_sweep_occupancy_slots_total")
+            > scrape_gauge(&metrics.body, "specrecon_sweep_lockstep_issues_total"),
         "divergent sweep still issues multiple slots per instruction:\n{}",
+        metrics.body
+    );
+    assert!(
+        scrape_gauge(&metrics.body, "specrecon_sweep_issues_by_occupancy_total{slots=\"9-16\"}")
+            > 0.0,
+        "some issues run at least nine of the 16 slots wide:\n{}",
         metrics.body
     );
 

@@ -35,7 +35,9 @@
 //! differential proptests keep passing. The degenerate constructors
 //! [`MemHierarchy::flat`] and [`MemHierarchy::l1`] reproduce the old
 //! flat-coalescing and single-level cache costs bit-exactly (pinned by
-//! `crates/conformance/tests/hier_flat_differential.rs`).
+//! `crates/conformance/tests/hier_flat_differential.rs`); real
+//! multi-level, MSHR-limited specs are crossed across the three engines
+//! by `crates/conformance/tests/sweep_hier_differential.rs`.
 
 use crate::config::{CacheConfig, LatencyModel};
 
@@ -57,6 +59,15 @@ pub struct MemLevel {
     /// Miss-status holding registers shared machine-wide; 0 disables
     /// outstanding-miss tracking for this level.
     pub mshrs: usize,
+}
+
+impl MemLevel {
+    /// The direct-mapped tag index and line id covering cell `addr`.
+    #[inline]
+    pub(crate) fn tag_slot(&self, addr: i64) -> (usize, i64) {
+        let line = addr.div_euclid(self.cells_per_line as i64);
+        (line.rem_euclid(self.lines as i64) as usize, line)
+    }
 }
 
 /// A multi-level memory hierarchy: up to [`MAX_MEM_LEVELS`] cache
@@ -338,7 +349,7 @@ impl AccessOutcome {
 
 /// Per-warp hierarchy tag state: one direct-mapped tag array per
 /// configured level. Empty when the hierarchy is off.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct MemTags {
     pub(crate) levels: Vec<Vec<Option<i64>>>,
 }
@@ -355,7 +366,7 @@ impl MemTags {
 
 /// One level's machine-wide MSHR file: parallel `(line, release)`
 /// arrays. An entry is *busy* (in flight) while `release > now`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct MshrFile {
     pub(crate) line: Vec<i64>,
     pub(crate) release: Vec<u64>,
@@ -364,7 +375,7 @@ pub(crate) struct MshrFile {
 /// Machine-wide MSHR state, one file per configured level (empty file
 /// when that level's `mshrs` is 0). Shared by every warp — miss
 /// pressure from one warp stalls another, which is the point.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct MemMshrs {
     pub(crate) levels: Vec<MshrFile>,
 }
@@ -392,10 +403,13 @@ pub(crate) struct MemScratch {
     /// Deduped line ids entering each level (index [`MAX_MEM_LEVELS`]
     /// holds the DRAM segment ids).
     lines: [Vec<i64>; MAX_MEM_LEVELS + 1],
-    /// Lines that missed at each level (tag fills on commit).
-    missing: [Vec<i64>; MAX_MEM_LEVELS],
-    /// Missing lines needing a fresh MSHR entry (commit allocation).
-    alloc: [Vec<i64>; MAX_MEM_LEVELS],
+    /// Lines that missed at each level with their tag-array index (tag
+    /// fills on commit).
+    missing: [Vec<(usize, i64)>; MAX_MEM_LEVELS],
+    /// Missing lines needing a fresh MSHR entry, with the entry the
+    /// commit allocates them (entry index, line; in allocation order,
+    /// so a later write to a reused entry wins).
+    placed: [Vec<(usize, i64)>; MAX_MEM_LEVELS],
     /// Busy-release sort buffer for the stall computation.
     releases: Vec<u64>,
 }
@@ -426,49 +440,47 @@ pub(crate) fn commit(
     now: u64,
 ) -> AccessOutcome {
     let out = walk(hier, tags, mshrs, scratch, addrs, now);
+    apply_staged(hier, tags, mshrs, scratch, &out, now);
+    out
+}
+
+/// Applies the tag fills and MSHR allocations the last walk staged in
+/// `scratch` (by [`probe`] or [`commit`]) for outcome `out` at `now`:
+/// plain writes to precomputed tag indices and MSHR entries, no
+/// search.
+///
+/// The staged lists depend only on the walk's pre-state and addresses,
+/// so one walk serves every state equal to the walked one: applying it
+/// to each of several equal `(tags, mshrs)` pairs leaves them equal,
+/// and each equals what its own [`commit`] would have produced. This is
+/// how the sweep cohort commits one access for a whole memory-state
+/// class of seed instances.
+pub(crate) fn apply_staged(
+    hier: &MemHierarchy,
+    tags: &mut MemTags,
+    mshrs: &mut MemMshrs,
+    scratch: &MemScratch,
+    out: &AccessOutcome,
+    now: u64,
+) {
     let release = now + u64::from(out.cost);
     for (k, level) in hier.levels.iter().enumerate() {
         // Tag fills, in line order: a later miss colliding with an
         // earlier one leaves the last line resident, mirroring the
         // legacy model's in-order fill.
-        let cap = level.lines as i64;
-        for &line in &scratch.missing[k] {
-            tags.levels[k][line.rem_euclid(cap) as usize] = Some(line);
+        let col = &mut tags.levels[k];
+        for &(at, line) in &scratch.missing[k] {
+            col[at] = Some(line);
         }
         if level.mshrs == 0 {
             continue;
         }
-        // Allocate entries for non-merged misses: free entries (retired
-        // by `now + stall`) in index order first, then wrap, oldest
-        // index first — deterministic, so every engine replays the
-        // identical file state.
-        let stall = u64::from(out.levels[k].mshr_stall);
         let file = &mut mshrs.levels[k];
-        let n = file.release.len();
-        // Scan for free entries in index order; freeness is judged
-        // against the pre-commit state (writes only land on slots the
-        // scan already passed, so the cursor never re-reads one).
-        let mut cursor = 0usize;
-        let mut wrap = 0usize;
-        for &line in &scratch.alloc[k] {
-            let slot = loop {
-                if cursor < n {
-                    let i = cursor;
-                    cursor += 1;
-                    if file.release[i] <= now + stall {
-                        break i;
-                    }
-                } else {
-                    let s = wrap % n;
-                    wrap += 1;
-                    break s;
-                }
-            };
-            file.line[slot] = line;
-            file.release[slot] = release;
+        for &(entry, line) in &scratch.placed[k] {
+            file.line[entry] = line;
+            file.release[entry] = release;
         }
     }
-    out
 }
 
 /// Drops the lines covering `addrs` from every configured level of one
@@ -476,13 +488,10 @@ pub(crate) fn commit(
 /// entries — in-flight fills — are unaffected).
 pub(crate) fn invalidate(hier: &MemHierarchy, tags: &mut MemTags, addrs: &[i64]) {
     for (k, level) in hier.levels.iter().enumerate() {
-        let cells = level.cells_per_line as i64;
-        let cap = level.lines as i64;
         for &a in addrs {
-            let line = a.div_euclid(cells);
-            let slot = line.rem_euclid(cap) as usize;
-            if tags.levels[k][slot] == Some(line) {
-                tags.levels[k][slot] = None;
+            let (at, line) = level.tag_slot(a);
+            if tags.levels[k][at] == Some(line) {
+                tags.levels[k][at] = None;
             }
         }
     }
@@ -493,7 +502,7 @@ pub(crate) fn invalidate(hier: &MemHierarchy, tags: &mut MemTags, addrs: &[i64])
 /// an earlier fill can evict the line a later one would have hit),
 /// rebases misses to the next level, prices the MSHR file, and takes
 /// the max cost over contributing levels. Pure — mutations happen in
-/// [`commit`] from the staged `scratch` lists.
+/// [`apply_staged`] from the staged `scratch` lists.
 fn walk(
     hier: &MemHierarchy,
     tags: &MemTags,
@@ -528,7 +537,7 @@ fn walk(
         if cur.is_empty() {
             tail[0].clear();
             scratch.missing[k].clear();
-            scratch.alloc[k].clear();
+            scratch.placed[k].clear();
             continue;
         }
         // Overlay tag walk: decisions read the would-be fills of
@@ -555,7 +564,7 @@ fn walk(
                     overlay[overlay_n] = (slot, line);
                     overlay_n += 1;
                 }
-                missing.push(line);
+                missing.push((slot, line));
             }
         }
         out.levels[k].hits = hits;
@@ -564,13 +573,13 @@ fn walk(
             cost = cost.max(level.latency.saturating_add(level.extra.saturating_mul(hits - 1)));
         }
         // MSHR pricing over the missing lines.
-        let alloc = &mut scratch.alloc[k];
-        alloc.clear();
+        let placed = &mut scratch.placed[k];
+        placed.clear();
         if level.mshrs > 0 && !missing.is_empty() {
             let file = &mshrs.levels[k];
             let mut merge_wait = 0u64;
             let mut merges = 0u32;
-            for &line in missing.iter() {
+            for &(_, line) in missing.iter() {
                 let inflight = (0..file.release.len())
                     .find(|&i| file.release[i] > now && file.line[i] == line);
                 match inflight {
@@ -578,7 +587,7 @@ fn walk(
                         merges += 1;
                         merge_wait = merge_wait.max(file.release[i] - now);
                     }
-                    None => alloc.push(line),
+                    None => placed.push((0, line)),
                 }
             }
             let releases = &mut scratch.releases;
@@ -587,7 +596,7 @@ fn walk(
             releases.sort_unstable();
             let total = file.release.len();
             let free = total - releases.len();
-            let need = alloc.len();
+            let need = placed.len();
             let stall = if need <= free {
                 0
             } else if need <= total {
@@ -604,10 +613,32 @@ fn walk(
             out.levels[k].mshr_merges = merges;
             out.levels[k].mshr_stall = u32::try_from(lp).unwrap_or(u32::MAX);
             penalty = penalty.max(lp);
-        } else {
-            // All misses allocate notionally; nothing to track.
-            alloc.extend_from_slice(missing);
+            // Pick the entries the commit allocates: free ones (retired
+            // by `now + stall`) in index order first, then wrap, oldest
+            // index first — deterministic, so every engine replays the
+            // identical file state. Freeness is judged against the
+            // pre-commit state.
+            let free_by = now + u64::from(out.levels[k].mshr_stall);
+            let mut cursor = 0usize;
+            let mut wrap = 0usize;
+            for (entry, _) in placed.iter_mut() {
+                *entry = loop {
+                    if cursor < total {
+                        let i = cursor;
+                        cursor += 1;
+                        if file.release[i] <= free_by {
+                            break i;
+                        }
+                    } else {
+                        let s = wrap;
+                        wrap = if wrap + 1 == total { 0 } else { wrap + 1 };
+                        break s;
+                    }
+                };
+            }
         }
+        // (Without MSHRs, every miss allocates notionally; nothing to
+        // track.)
         // Rebase misses to the next level's granularity (monotone, so
         // the staged list stays sorted and dedups adjacently).
         let next_cells = hier
@@ -618,7 +649,7 @@ fn walk(
         let cells = level.cells_per_line as i64;
         let next = &mut tail[0];
         next.clear();
-        next.extend(missing.iter().map(|&l| (l * cells).div_euclid(next_cells)));
+        next.extend(missing.iter().map(|&(_, l)| (l * cells).div_euclid(next_cells)));
         next.dedup();
     }
     let dram_idx = if hier.levels.is_empty() { MAX_MEM_LEVELS } else { hier.levels.len() };
@@ -757,6 +788,64 @@ mod tests {
         assert_eq!(p2.levels[0].hits, 0);
         assert!(p2.levels[1].hits > 0);
         assert!(p2.cost < c.cost);
+    }
+
+    /// A warmed-up tight hierarchy: some lines resident, some MSHR
+    /// entries in flight at `t = 40`.
+    fn warmed(h: &MemHierarchy) -> (MemTags, MemMshrs) {
+        let mut tags = MemTags::new(Some(h));
+        let mut mshrs = MemMshrs::new(Some(h));
+        let mut scratch = MemScratch::default();
+        for (t, base) in [(0u64, 0i64), (20, 256), (39, 4096)] {
+            let addrs: Vec<i64> = (0..8).map(|i| base + i * 9).collect();
+            commit(h, &mut tags, &mut mshrs, &mut scratch, &addrs, t);
+        }
+        (tags, mshrs)
+    }
+
+    #[test]
+    fn commit_is_walk_then_apply_staged() {
+        let l = lat();
+        let h = MemHierarchy::parse(
+            "l1:lines=16,cells=16,lat=2,mshrs=1;l2:lines=128,cells=16,lat=8,mshrs=2;dram:lat=48,extra=4",
+            &l,
+        )
+        .unwrap();
+        let mut scratch = MemScratch::default();
+        for addrs in [vec![0i64, 9, 18], (0..32).map(|i| i * 7).collect(), vec![4096, 5000, 70000]]
+        {
+            let (mut ta, mut ma) = warmed(&h);
+            let (mut tb, mut mb) = (ta.clone(), ma.clone());
+            let c = commit(&h, &mut ta, &mut ma, &mut scratch, &addrs, 40);
+            let w = walk(&h, &tb, &mb, &mut scratch, &addrs, 40);
+            apply_staged(&h, &mut tb, &mut mb, &scratch, &w, 40);
+            assert_eq!(c, w, "addrs {addrs:?}");
+            assert_eq!(ta, tb, "tags after commit vs walk+apply, addrs {addrs:?}");
+            assert_eq!(ma, mb, "MSHRs after commit vs walk+apply, addrs {addrs:?}");
+            assert_ne!(ta, warmed(&h).0, "the access must fill something");
+        }
+    }
+
+    #[test]
+    fn one_staged_walk_applies_equally_to_equal_states() {
+        let l = lat();
+        let h =
+            MemHierarchy::parse("l1:lines=8,cells=16,lat=2,mshrs=2;l2:lines=32,lat=8,mshrs=3", &l)
+                .unwrap();
+        let mut scratch = MemScratch::default();
+        let (mut ta, mut ma) = warmed(&h);
+        let (mut tb, mut mb) = (ta.clone(), ma.clone());
+        let addrs: Vec<i64> = (0..24).map(|i| 128 + i * 13).collect();
+        let out = probe(&h, &ta, &ma, &mut scratch, &addrs, 40);
+        assert!(out.levels[0].mshr_stall > 0 || out.levels[1].mshr_stall > 0, "{out:?}");
+        apply_staged(&h, &mut ta, &mut ma, &scratch, &out, 40);
+        apply_staged(&h, &mut tb, &mut mb, &scratch, &out, 40);
+        assert_eq!(ta, tb);
+        assert_eq!(ma, mb);
+        // And both equal a fresh commit from the shared pre-state.
+        let (mut tc, mut mc) = warmed(&h);
+        assert_eq!(commit(&h, &mut tc, &mut mc, &mut scratch, &addrs, 40), out);
+        assert_eq!((tc, mc), (ta, ma));
     }
 
     #[test]

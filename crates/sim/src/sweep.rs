@@ -25,7 +25,10 @@
 //! - **global accesses**: the coalescing/cache cost model makes the
 //!   issue cost (and cache-counter deltas) data-dependent, so per-slot
 //!   `(cost, hits, misses)` triples are computed without mutation and
-//!   each mismatching class forks with its pre-access state intact;
+//!   each mismatching class forks with its pre-access state intact
+//!   (under a memory hierarchy the hierarchy is walked once per
+//!   *memory-state class* of slots with equal tags and MSHR files, see
+//!   `Cohort::mem_classes`);
 //! - **faults**: a slot whose lane faults (OOB access, division by
 //!   zero) resolves to that seed's own `Err`, exactly as its scalar run
 //!   would.
@@ -475,8 +478,11 @@ struct DWarp {
     /// sub-cohort.
     cache_tags: Vec<Option<i64>>,
     /// Memory-hierarchy tag state, one [`MemTags`](crate::mem) per
-    /// slot (empty unless [`SimConfig::mem`] is on). Like `cache_tags`,
-    /// tag *contents* are per-slot data; only the whole
+    /// slot (empty unless [`SimConfig::mem`] is on). Tag *contents* are
+    /// per-slot data, but slots of one memory-state class
+    /// ([`Cohort::mem_classes`]) hold equal tags in every warp, so the
+    /// cohort walks the hierarchy once per class and replays the walk's
+    /// fills on the other members. Only the whole
     /// [`AccessOutcome`](crate::mem::AccessOutcome) must stay uniform
     /// within a sub-cohort.
     hier_tags: Vec<crate::mem::MemTags>,
@@ -657,8 +663,16 @@ struct Cohort<'m> {
     /// Per-slot machine-wide MSHR files of the memory-hierarchy model
     /// (each seed instance is its own virtual machine, so "machine-wide"
     /// means per slot here). Empty files unless [`SimConfig::mem`] is on.
+    /// Equal within each memory-state class ([`Self::mem_classes`]).
     mshrs: Vec<crate::mem::MemMshrs>,
-    /// Hierarchy walk staging, shared across slots (each probe/commit
+    /// Memory-state classes: disjoint slot masks over the unresolved,
+    /// non-detached slots, such that all slots of one class hold equal
+    /// [`Self::mshrs`] and equal [`DWarp::hier_tags`] in every warp.
+    /// Independent of the sub-cohorts (a class may span several). One
+    /// class at launch; refined wherever only part of a class commits,
+    /// invalidates or is overwritten, and never coarsened.
+    mem_classes: Vec<u64>,
+    /// Hierarchy walk staging, shared across slots (each walk
     /// repopulates it).
     mem_scratch: crate::mem::MemScratch,
 }
@@ -783,6 +797,7 @@ impl<'m> Cohort<'m> {
             lines_all: Vec::new(),
             stage: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
+            mem_classes: vec![slots],
             mem_scratch: crate::mem::MemScratch::default(),
         })
     }
@@ -792,31 +807,7 @@ impl<'m> Cohort<'m> {
     /// checks at each visited round boundary.
     fn run(mut self, cancel: Option<&CancelToken>) -> Result<SweepOutput, SimError> {
         while !self.subs.is_empty() {
-            let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
-            if let Some(tok) = cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled { cycle: t });
-                }
-            }
-            // Reconvergence checks happen at the frontier cycle before
-            // anything at it executes: merge sub-cohorts whose control
-            // re-agreed, then catch detached machines up and rejoin any
-            // whose control realigned.
-            self.merge_at(t);
-            self.drive_detached(t);
-            let si = self
-                .subs
-                .iter()
-                .position(|sc| sc.cycle == t)
-                .expect("a sub-cohort sits at the minimum cycle");
-            // The running sub-cohort is moved out of `subs` for the
-            // round so forked children can push into `subs` mid-issue.
-            let mut sub = self.subs.swap_remove(si);
-            if self.round(&mut sub) {
-                self.finalize_sub(&sub);
-            } else if sub.slots != 0 {
-                self.subs.push(sub);
-            }
+            self.next_round(cancel)?;
         }
         self.finish_detached(cancel)?;
         let runs = self
@@ -831,9 +822,59 @@ impl<'m> Cohort<'m> {
         Ok(SweepOutput { runs, stats: self.stats })
     }
 
+    /// Runs one round of the sub-cohort at the frontier (minimum) cycle.
+    fn next_round(&mut self, cancel: Option<&CancelToken>) -> Result<(), SimError> {
+        let t = self.subs.iter().map(|sc| sc.cycle).min().expect("subs non-empty");
+        if let Some(tok) = cancel {
+            if tok.is_cancelled() {
+                return Err(SimError::Cancelled { cycle: t });
+            }
+        }
+        // Reconvergence checks happen at the frontier cycle before
+        // anything at it executes: merge sub-cohorts whose control
+        // re-agreed, then catch detached machines up and rejoin any
+        // whose control realigned.
+        self.merge_at(t);
+        self.drive_detached(t);
+        let si = self
+            .subs
+            .iter()
+            .position(|sc| sc.cycle == t)
+            .expect("a sub-cohort sits at the minimum cycle");
+        // The running sub-cohort is moved out of `subs` for the round
+        // so forked children can push into `subs` mid-issue.
+        let mut sub = self.subs.swap_remove(si);
+        if self.round(&mut sub) {
+            self.finalize_sub(&sub);
+        } else if sub.slots != 0 {
+            self.subs.push(sub);
+        }
+        Ok(())
+    }
+
+    /// Whether the memory-state classes are disjoint and every class's
+    /// slots hold equal MSHR files and equal tags in every warp (the
+    /// invariant the shared hierarchy walk relies on). Checked round
+    /// by round in the unit tests.
+    #[cfg(test)]
+    fn mem_classes_hold(&self) -> bool {
+        let mut seen = 0u64;
+        self.mem_classes.iter().all(|&c| {
+            let r = c.trailing_zeros() as usize;
+            let disjoint = c & seen == 0;
+            seen |= c;
+            disjoint
+                && lanes(c).all(|s| {
+                    self.mshrs[s] == self.mshrs[r]
+                        && self.data.iter().all(|dw| dw.hier_tags[s] == dw.hier_tags[r])
+                })
+        })
+    }
+
     /// Marks a slot of `sub` resolved with its own terminal error.
     fn resolve_err(&mut self, sub: &mut SubCohort, s: usize, e: SimError) {
         sub.slots &= !(1u64 << s);
+        leave_classes(&mut self.mem_classes, 1u64 << s);
         self.results[s] = Some(Err(e));
     }
 
@@ -844,6 +885,7 @@ impl<'m> Cohort<'m> {
         for s in lanes(sub.slots) {
             self.results[s] = Some(Err(e.clone()));
         }
+        leave_classes(&mut self.mem_classes, sub.slots);
         sub.slots = 0;
     }
 
@@ -1086,6 +1128,7 @@ impl<'m> Cohort<'m> {
     /// the sub-cohort's finish cycle.
     fn finalize_sub(&mut self, sub: &SubCohort) {
         let ns = self.nslots;
+        leave_classes(&mut self.mem_classes, sub.slots);
         for s in lanes(sub.slots) {
             let mut metrics = metrics_sum(&sub.metrics, &self.bases[s]);
             metrics.cycles = sub.cycle;
@@ -1264,6 +1307,54 @@ fn partition_classes<K: PartialEq + Copy>(live: u64, key: impl Fn(usize) -> K) -
     }
     let minorities = classes.iter().map(|&(_, mask, _)| mask).filter(|&m| m != winner).collect();
     (winner, minorities)
+}
+
+/// Splits every memory-state class that `mask` cuts into its slots
+/// inside `mask` and its slots outside it.
+fn split_classes(classes: &mut Vec<u64>, mask: u64) {
+    for i in 0..classes.len() {
+        let (inside, outside) = (classes[i] & mask, classes[i] & !mask);
+        if inside != 0 && outside != 0 {
+            classes[i] = inside;
+            classes.push(outside);
+        }
+    }
+}
+
+/// Takes `mask`'s slots out of their memory-state classes, dropping
+/// classes left empty.
+fn leave_classes(classes: &mut Vec<u64>, mask: u64) {
+    if mask != 0 {
+        classes.retain_mut(|c| {
+            *c &= !mask;
+            *c != 0
+        });
+    }
+}
+
+/// Makes every slot of `mask` a memory-state class of its own.
+fn isolate_slots(classes: &mut Vec<u64>, mask: u64) {
+    leave_classes(classes, mask);
+    classes.extend(lanes(mask).map(|s| 1u64 << s));
+}
+
+/// The slots of each class part (`class & slots`) whose `k`-wide rows of
+/// `rows` are not all equal: the parts an access or invalidation would
+/// scatter into per-slot states.
+fn scattered_parts(classes: &[u64], slots: u64, rows: &[i64], k: usize) -> u64 {
+    let mut scattered = 0u64;
+    for &class in classes {
+        let part = class & slots;
+        if part == 0 {
+            continue;
+        }
+        let r = part.trailing_zeros() as usize;
+        let row = &rows[r * k..(r + 1) * k];
+        if !lanes(part).all(|s| rows[s * k..(s + 1) * k] == *row) {
+            scattered |= part;
+        }
+    }
+    scattered
 }
 
 /// Whether two sub-cohorts' control planes are equal — the merge test.
@@ -1624,6 +1715,8 @@ impl<'m> Cohort<'m> {
     /// their SoA columns (same pre-application snapshot argument as
     /// [`Self::split_off`]).
     fn detach_slots(&mut self, sub: &mut SubCohort, mask: u64, ctx: IssueCtx) {
+        // A detached machine owns its memory state until it rejoins.
+        leave_classes(&mut self.mem_classes, mask);
         for s in lanes(mask) {
             let m = self.materialize(sub, s, ctx);
             self.detached[s] = Some(m);
@@ -1711,8 +1804,10 @@ impl<'m> Cohort<'m> {
 
     /// Rejoins a detached machine whose control realigned with sub
     /// `si`: copies its data plane back into slot `s`'s columns and
-    /// records the metrics delta it accumulated while away.
+    /// records the metrics delta it accumulated while away. Its memory
+    /// state comes back as a class of its own.
     fn absorb(&mut self, si: usize, s: usize, m: &Machine<'_>) {
+        isolate_slots(&mut self.mem_classes, 1u64 << s);
         let ns = self.nslots;
         let width = self.cfg.warp_width;
         let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
@@ -2279,11 +2374,20 @@ impl Cohort<'_> {
     /// [`Self::access_global_c`] under the memory-hierarchy cost model:
     /// the same three phases, with the per-slot *walk outcome*
     /// ([`AccessOutcome`](crate::mem::AccessOutcome) — cost plus every
-    /// per-level counter) as the fork key. Phase 1 uses the pure
-    /// [`probe`](crate::mem::probe) so a diverging slot's tag and MSHR
-    /// state stays intact for its fork to replay; phase 3 re-runs the
-    /// walk as [`commit`](crate::mem::commit) per winner slot, which
-    /// reproduces the probed outcome over the unchanged pre-state.
+    /// per-level counter) as the fork key.
+    ///
+    /// The hierarchy is walked once per memory-state class
+    /// ([`Self::mem_classes`]), not once per slot. A class's slots hold
+    /// equal tags and MSHR files, so where its issuing slots also share
+    /// one address vector, a pure [`probe`](crate::mem::probe) on the
+    /// lowest of them prices the access for all of them (phase 1), and
+    /// phase 3 commits on that representative and replays the walk's
+    /// staged fills on the others with
+    /// [`apply_staged`](crate::mem::apply_staged). A class part whose
+    /// addresses differ is probed and committed slot by slot, and its
+    /// committing slots become classes of their own. Probes never
+    /// mutate, so a forking slot's pre-access state stays intact for
+    /// its replay; every class the commit cuts is split afterwards.
     #[allow(clippy::too_many_arguments)]
     fn access_global_hier_c(
         &mut self,
@@ -2303,24 +2407,33 @@ impl Cohort<'_> {
         let now = sub.cycle;
         let mut faults: Vec<(usize, SlotFault)> = Vec::new();
         let mut outs = [crate::mem::AccessOutcome::default(); COHORT_SLOTS];
+        // Slots probed and committed on their own (class parts whose
+        // address vectors differ).
+        let mut scattered = 0u64;
+        // The slot whose walk `mem_scratch` stages right now.
+        let mut staged = None;
         {
             let glen = self.global_len;
             let slots = sub.slots;
-            let Cohort { data, addr_buf, mshrs, mem_scratch, cfg, .. } = self;
+            let Cohort { data, addr_buf, mshrs, mem_scratch, mem_classes, cfg, .. } = self;
             let hier = cfg.mem.as_ref().expect("hier access without mem configured");
             let cw = &sub.warps[w];
             let dw = &data[w];
             addr_buf.clear();
             addr_buf.resize(ns * k, 0);
             let mut oob = 0u64;
+            let mut uniform = true;
+            let rep = if slots == 0 { 0 } else { slots.trailing_zeros() as usize };
             for (idx, l) in lanes(mask).enumerate() {
                 let base = cw.lanes_c[l].cur_base();
                 let dl = &dw.lanes_d[l];
                 let row = dl.row(ns, base, addr);
+                let a0 = dl.get(row, rep).as_i64();
                 for (lo, hi) in mask_runs(slots) {
                     for s in lo..hi {
                         let a = dl.get(row, s).as_i64();
                         addr_buf[s * k + idx] = a;
+                        uniform &= a == a0;
                         if a < 0 || a as usize >= glen {
                             oob |= 1 << s;
                         }
@@ -2341,12 +2454,34 @@ impl Cohort<'_> {
                     SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
                 ));
             }
-            // Cost phase: pure probes, per slot (tag and MSHR histories
-            // diverge after forks and rejoins even when addresses agree).
-            for s in lanes(slots & !oob) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                outs[s] =
-                    crate::mem::probe(hier, &dw.hier_tags[s], &mshrs[s], mem_scratch, addrs, now);
+            // Cost phase: one pure probe per class part with a shared
+            // address vector, one per slot elsewhere.
+            let live = slots & !oob;
+            if !uniform {
+                scattered = scattered_parts(mem_classes, live, addr_buf, k);
+            }
+            for &class in mem_classes.iter() {
+                let part = class & live;
+                let probed = if part & scattered == 0 { part & part.wrapping_neg() } else { part };
+                for r in lanes(probed) {
+                    let addrs = &addr_buf[r * k..(r + 1) * k];
+                    let out = crate::mem::probe(
+                        hier,
+                        &dw.hier_tags[r],
+                        &mshrs[r],
+                        mem_scratch,
+                        addrs,
+                        now,
+                    );
+                    staged = Some(r);
+                    if probed == part {
+                        outs[r] = out;
+                    } else {
+                        for s in lanes(part) {
+                            outs[s] = out;
+                        }
+                    }
+                }
             }
         }
         for (s, f) in faults {
@@ -2363,7 +2498,7 @@ impl Cohort<'_> {
         let winners = sub.slots;
         let out = outs[winners.trailing_zeros() as usize];
         {
-            let Cohort { data, addr_buf, global, mshrs, mem_scratch, cfg, .. } = self;
+            let Cohort { data, addr_buf, global, mshrs, mem_scratch, mem_classes, cfg, .. } = self;
             let hier = cfg.mem.as_ref().expect("hier access without mem configured");
             let cw = &mut sub.warps[w];
             let dw = &mut data[w];
@@ -2389,33 +2524,45 @@ impl Cohort<'_> {
                 }
                 cw.pcs[l] += 1;
             }
-            // Apply phase: commit tag fills and MSHR bookkeeping per
-            // winner slot.
-            for s in lanes(winners) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                let applied = crate::mem::commit(
-                    hier,
-                    &mut dw.hier_tags[s],
-                    &mut mshrs[s],
-                    mem_scratch,
-                    addrs,
-                    now,
-                );
-                debug_assert_eq!(applied, out, "commit must replay the probed outcome");
-            }
-        }
-        if value.is_some() {
-            // Write-through invalidation: drop the touched lines from
-            // every warp's tag state of each winner slot.
-            let Cohort { data, addr_buf, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
-            for s in lanes(winners) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                for dw in data.iter_mut() {
-                    crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
+            // Apply phase: per committing class part, its lowest slot
+            // (every slot, if scattered) stages the walk — unless the
+            // cost phase's last probe still holds it — and every slot
+            // of the part applies the staged fills and MSHR entries.
+            for &class in mem_classes.iter() {
+                let part = class & winners;
+                for s in lanes(part) {
+                    let lead = s == part.trailing_zeros() as usize || scattered & (1u64 << s) != 0;
+                    if lead && staged != Some(s) {
+                        let addrs = &addr_buf[s * k..(s + 1) * k];
+                        let walked = crate::mem::probe(
+                            hier,
+                            &dw.hier_tags[s],
+                            &mshrs[s],
+                            mem_scratch,
+                            addrs,
+                            now,
+                        );
+                        debug_assert_eq!(walked, out, "the commit walk must replay the probe");
+                        staged = Some(s);
+                    }
+                    crate::mem::apply_staged(
+                        hier,
+                        &mut dw.hier_tags[s],
+                        &mut mshrs[s],
+                        mem_scratch,
+                        &out,
+                        now,
+                    );
                 }
             }
         }
+        if value.is_some() {
+            // Write-through invalidation (equal address vectors keep a
+            // class's tags equal).
+            self.invalidate_hier_c(winners, k);
+        }
+        split_classes(&mut self.mem_classes, winners);
+        isolate_slots(&mut self.mem_classes, winners & scattered);
         sub.metrics.mem.record(&out);
         sub.metrics.cache_hits += u64::from(out.levels[0].hits);
         sub.metrics.cache_misses += u64::from(out.levels[0].misses);
@@ -2512,20 +2659,32 @@ impl Cohort<'_> {
         }
     }
 
+    /// Memory-hierarchy write-through invalidation: drops the lines
+    /// covering each slot's staged addresses (`addr_buf`, `k` per slot)
+    /// from that slot's tags in **every** warp.
+    fn invalidate_hier_c(&mut self, slots: u64, k: usize) {
+        let Cohort { data, addr_buf, cfg, .. } = self;
+        let hier = cfg.mem.as_ref().expect("hier invalidation without mem configured");
+        for s in lanes(slots) {
+            let addrs = &addr_buf[s * k..(s + 1) * k];
+            for dw in data.iter_mut() {
+                crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
+            }
+        }
+    }
+
     /// Write-through invalidation: drops the lines covering each slot's
     /// staged addresses (`addr_buf`, `k` per slot) from that slot's tag
     /// column in **every** warp (the atomics path, which has no staged
     /// line spans).
     fn invalidate_lines_c(&mut self, slots: u64, k: usize) {
         if self.cfg.mem.is_some() {
-            let Cohort { data, addr_buf, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("checked above");
-            for s in lanes(slots) {
-                let addrs = &addr_buf[s * k..(s + 1) * k];
-                for dw in data.iter_mut() {
-                    crate::mem::invalidate(hier, &mut dw.hier_tags[s], addrs);
-                }
-            }
+            self.invalidate_hier_c(slots, k);
+            // Equal address vectors invalidate equal tags equally; any
+            // other part of a class drifts apart slot by slot.
+            let scattered = scattered_parts(&self.mem_classes, slots, &self.addr_buf, k);
+            split_classes(&mut self.mem_classes, slots);
+            isolate_slots(&mut self.mem_classes, scattered);
             return;
         }
         let Some(cache) = &self.cfg.cache else { return };
@@ -2843,6 +3002,93 @@ bb0:
 }
 ";
 
+    /// Memory-state drift: each lane first loads one of eight lines
+    /// picked by its own RNG draw, so seeds that touched the same *number*
+    /// of lines share the access's outcome (and sub-cohort) while their
+    /// tags and MSHR files differ. The slot-uniform load that follows
+    /// then hits, merges or misses per seed; the store, the atomic on a
+    /// seed-dependent address and the final reload refine the classes
+    /// further.
+    const MEM_DRIFT_KERNEL: &str = "\
+kernel @k(params=0, regs=10, barriers=0, entry=bb0) {
+bb0:
+  %r0 = rng.u63
+  %r1 = rem %r0, 8
+  %r2 = mul %r1, 16
+  %r3 = load global[%r2]
+  %r4 = load global[48]
+  %r5 = special.tid
+  %r6 = add %r3, %r4
+  store global[%r5], %r6
+  %r7 = atomic_add [%r2], 1
+  %r8 = load global[%r2]
+  %r9 = load global[48]
+  exit
+}
+";
+
+    /// Atomic drift: a slot-uniform load fills four lines in every
+    /// seed, then each lane's atomic hits an RNG-picked one of them, so
+    /// the write-through invalidation alone leaves seeds with different
+    /// resident sets — which the slot-uniform reload then prices.
+    const ATOMIC_DRIFT_KERNEL: &str = "\
+kernel @k(params=0, regs=8, barriers=0, entry=bb0) {
+bb0:
+  %r5 = special.tid
+  %r1 = mul %r5, 16
+  %r2 = load global[%r1]
+  %r0 = rng.u63
+  %r3 = rem %r0, 4
+  %r4 = mul %r3, 16
+  %r6 = atomic_add [%r4], 1
+  %r7 = load global[%r1]
+  exit
+}
+";
+
+    /// A warp-uniform, seed-dependent load (one of eight lines per seed:
+    /// equal outcomes, distinct memory states), then lane-level RNG
+    /// divergence with a global load of a different line in each arm
+    /// and a barrier: under the hierarchy, instances past the
+    /// sub-cohort cap detach with their own memory state and rejoin
+    /// before the closing store and reloads.
+    const HIER_REJOIN_KERNEL: &str = "\
+kernel @k(params=0, regs=10, barriers=1, entry=bb0) {
+bb0:
+  %r0 = rng.u63
+  %r1 = rem %r0, 2
+  %r5 = special.tid
+  %r7 = add %r5, 32
+  %r8 = vote %r1
+  %r8 = rem %r8, 8
+  %r8 = mul %r8, 16
+  %r9 = add %r8, 128
+  %r9 = load global[%r9]
+  join b0
+  brdiv %r1, bb1, bb2
+bb1:
+  %r4 = load global[%r5]
+  jmp bb3
+bb2:
+  %r4 = load global[%r7]
+  jmp bb3
+bb3:
+  wait b0
+  store global[%r5], %r4
+  %r6 = load global[%r5]
+  %r6 = load global[%r7]
+  exit
+}
+";
+
+    /// The tight-MSHR hierarchy of `figures ablate-mem`.
+    fn tight_mem(cfg: SimConfig) -> SimConfig {
+        let spec = "l1:lines=16,cells=16,lat=2,mshrs=1;l2:lines=128,cells=16,lat=8,mshrs=2;\
+                    dram:lat=48,extra=4";
+        let mem = crate::mem::MemHierarchy::parse(spec, &cfg.latency).expect("valid spec");
+        SimConfig { mem: Some(mem), ..cfg }
+    }
+
     fn launch(kernel: &str, num_warps: usize, cells: usize, args: Vec<Value>) -> Launch {
         Launch {
             kernel: kernel.into(),
@@ -3123,6 +3369,71 @@ bb0:
         let err =
             run_sweep_image(&image, &SimConfig::default(), &sweep, Some(&cancel)).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { .. }), "{err}");
+    }
+
+    /// Drives a cohort round by round, asserting the memory-state class
+    /// invariant before every round (release builds included). Returns
+    /// whether some sub-cohort ever held slots of two classes, and the
+    /// most classes ever live.
+    fn drive_checking_classes(src: &str, cfg: &SimConfig, sweep: &SweepLaunch) -> (bool, usize) {
+        let module = parse_and_link(src).expect("kernel parses");
+        let image = DecodedImage::decode(&module);
+        let n = sweep.instances() as usize;
+        let mut c = Cohort::new(&image, cfg, sweep, n).expect("cohort builds");
+        let (mut spanned, mut max_classes) = (false, 1);
+        while !c.subs.is_empty() {
+            assert!(c.mem_classes_hold(), "classes drifted: {:?}", c.mem_classes);
+            spanned |= c
+                .subs
+                .iter()
+                .any(|sc| c.mem_classes.iter().filter(|&&cl| cl & sc.slots != 0).count() >= 2);
+            max_classes = max_classes.max(c.mem_classes.len());
+            c.next_round(None).expect("runs");
+        }
+        assert!(c.mem_classes_hold(), "classes drifted: {:?}", c.mem_classes);
+        (spanned, max_classes)
+    }
+
+    #[test]
+    fn memory_state_classes_split_where_slot_states_drift() {
+        for policy in all_policies() {
+            let cfg =
+                tight_mem(SimConfig { scheduler: policy, warp_width: 4, ..SimConfig::default() });
+            let sweep = SweepLaunch::new(launch("k", 2, 256, vec![]), 0, 32);
+            let stats = assert_matches_scalar(MEM_DRIFT_KERNEL, &cfg, &sweep);
+            assert!(stats.forks > 0, "{policy:?}: per-seed walks disagree: {stats:?}");
+            let (spanned, max_classes) = drive_checking_classes(MEM_DRIFT_KERNEL, &cfg, &sweep);
+            assert!(spanned, "{policy:?}: a sub-cohort must hold slots of two classes");
+            assert!(max_classes > 2, "{policy:?}: drift refines the launch class");
+        }
+    }
+
+    #[test]
+    fn atomic_invalidation_refines_memory_state_classes() {
+        for policy in all_policies() {
+            let cfg =
+                tight_mem(SimConfig { scheduler: policy, warp_width: 4, ..SimConfig::default() });
+            let sweep = SweepLaunch::new(launch("k", 2, 256, vec![]), 0, 32);
+            let stats = assert_matches_scalar(ATOMIC_DRIFT_KERNEL, &cfg, &sweep);
+            assert!(stats.forks > 0, "{policy:?}: resident sets differ after atomics: {stats:?}");
+            let (_, max_classes) = drive_checking_classes(ATOMIC_DRIFT_KERNEL, &cfg, &sweep);
+            assert!(max_classes > 1, "{policy:?}: the atomic splits the launch class");
+        }
+    }
+
+    #[test]
+    fn detached_instances_rejoin_as_their_own_memory_state_class() {
+        let (mut detached, mut rejoined) = (false, false);
+        for policy in all_policies() {
+            let cfg = tight_mem(SimConfig { scheduler: policy, ..SimConfig::default() });
+            let sweep = SweepLaunch::new(launch("k", 2, 256, vec![]), 0, 48);
+            let stats = assert_matches_scalar(HIER_REJOIN_KERNEL, &cfg, &sweep);
+            drive_checking_classes(HIER_REJOIN_KERNEL, &cfg, &sweep);
+            detached |= stats.detaches > 0;
+            rejoined |= stats.rejoins > 0;
+        }
+        assert!(detached, "some policy must take the escape hatch");
+        assert!(rejoined, "some detached seed must rejoin");
     }
 
     #[test]
