@@ -9,7 +9,7 @@
 
 use crate::Scale;
 use simt_ir::BlockId;
-use simt_sim::{CacheConfig, MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig};
+use simt_sim::{MemHierarchy, ReconvergenceModel, SchedulerPolicy, SimConfig};
 use specrecon_core::{unroll_self_loop, CompileOptions, DeconflictMode, RepairStrategy};
 use workloads::eval::{self, Engine};
 use workloads::{mummer, registry, rsbench, srad, xsbench, Workload};
@@ -289,7 +289,7 @@ pub struct CacheRow {
     pub name: String,
     /// SR speedup with the raw coalescing-only memory model.
     pub speedup_no_cache: f64,
-    /// SR speedup with the L1 cache cost model enabled.
+    /// SR speedup under the L1 preset ([`MemHierarchy::l1`]).
     pub speedup_cache: f64,
     /// Cache hit rate (hits / (hits+misses)) in the SR run.
     pub hit_rate: f64,
@@ -310,7 +310,8 @@ pub fn cache_with(engine: &Engine, scale: Scale) -> Vec<CacheRow> {
         let plain = engine
             .compare_with(w, &CompileOptions::speculative(), &SimConfig::default())
             .unwrap_or_else(|e| panic!("{} plain failed: {e}", w.name));
-        let cfg = SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() };
+        let mut cfg = SimConfig::default();
+        cfg.mem = Some(MemHierarchy::l1(&cfg.latency));
         let cached = engine
             .compare_with(w, &CompileOptions::speculative(), &cfg)
             .unwrap_or_else(|e| panic!("{} cached failed: {e}", w.name));
@@ -318,7 +319,8 @@ pub fn cache_with(engine: &Engine, scale: Scale) -> Vec<CacheRow> {
         let out = engine
             .run_full(w, &CompileOptions::speculative(), &cfg)
             .unwrap_or_else(|e| panic!("{} hit-rate run failed: {e}", w.name));
-        let (h, m) = (out.metrics.cache_hits, out.metrics.cache_misses);
+        let l1 = out.metrics.mem.levels[0];
+        let (h, m) = (l1.hits, l1.misses);
         CacheRow {
             name: w.name.to_string(),
             speedup_no_cache: plain.speedup(),

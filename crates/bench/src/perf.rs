@@ -4,8 +4,8 @@
 //! registry and writes a [`Snapshot`]; the `perfgate` binary compares the
 //! two most recent snapshots and fails when throughput regresses beyond a
 //! threshold. Both live here so the format and the comparison rule are
-//! unit-tested, and so the vendored-workspace constraint (no serde) is
-//! confined to one small hand-rolled JSON layer.
+//! unit-tested. Snapshots are read and written through the service's
+//! JSON layer ([`specrecon_server::json`]): the workspace has no serde.
 //!
 //! Throughput is reported in *simulated cycles per wall-clock second* —
 //! the figure sweeps are bounded by how fast the machine burns simulated
@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use simt_sim::{run_image, run_sweep_image, SimConfig, SweepLaunch, DEFAULT_SEED};
+use specrecon_server::json::{escape, Json};
 use workloads::eval::{with_warps, Engine};
 use workloads::registry;
 
@@ -66,8 +67,8 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-        let _ = writeln!(s, "  \"label\": {},", json_str(&self.label));
+        let _ = writeln!(s, "  \"schema\": {},", escape(SCHEMA));
+        let _ = writeln!(s, "  \"label\": {},", escape(&self.label));
         let _ = writeln!(s, "  \"warps\": {},", self.warps);
         let _ = writeln!(s, "  \"geomean_cycles_per_sec\": {:?},", self.geomean_cycles_per_sec());
         s.push_str("  \"results\": [\n");
@@ -76,7 +77,7 @@ impl Snapshot {
                 s,
                 "    {{\"name\": {}, \"cycles_per_run\": {}, \"runs\": {}, \
                  \"elapsed_ns\": {}, \"cycles_per_sec\": {:?}}}",
-                json_str(&r.name),
+                escape(&r.name),
                 r.cycles_per_run,
                 r.runs,
                 r.elapsed_ns,
@@ -94,20 +95,18 @@ impl Snapshot {
     ///
     /// Malformed JSON, a wrong/missing schema tag, or missing fields.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let v = Json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let schema = get(obj, "schema")?.as_str().ok_or("schema must be a string")?;
+        let obj = Json::parse(text)?;
+        let schema = get(&obj, "schema")?.as_str().ok_or("schema must be a string")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (expected {SCHEMA:?})"));
         }
-        let label = get(obj, "label")?.as_str().ok_or("label must be a string")?.to_string();
-        let warps = get(obj, "warps")?.as_u64().ok_or("warps must be a non-negative integer")?;
-        let results = get(obj, "results")?
+        let label = get(&obj, "label")?.as_str().ok_or("label must be a string")?.to_string();
+        let warps = get(&obj, "warps")?.as_u64().ok_or("warps must be a non-negative integer")?;
+        let results = get(&obj, "results")?
             .as_arr()
             .ok_or("results must be an array")?
             .iter()
-            .map(|r| {
-                let o = r.as_obj().ok_or("each result must be an object")?;
+            .map(|o| {
                 Ok(WorkloadPerf {
                     name: get(o, "name")?.as_str().ok_or("name must be a string")?.to_string(),
                     cycles_per_run: get(o, "cycles_per_run")?
@@ -127,8 +126,12 @@ impl Snapshot {
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or_else(|| format!("missing key {key:?}"))
+/// Field `key` of the object `obj`.
+fn get<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    match obj {
+        Json::Obj(_) => obj.get(key).ok_or_else(|| format!("missing key {key:?}")),
+        _ => Err(format!("expected an object with key {key:?}")),
+    }
 }
 
 /// Times the simulator hot loop on every registry workload and returns a
@@ -388,243 +391,6 @@ pub fn snapshot_files(dir: &Path) -> Vec<(u64, PathBuf)> {
 pub fn next_snapshot_path(dir: &Path) -> PathBuf {
     let next = snapshot_files(dir).last().map_or(0, |(n, _)| n + 1);
     dir.join(format!("BENCH_{next}.json"))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the snapshot format (the workspace has no
-/// crates.io access, hence no serde).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, text: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            out.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?} at {start}"))
-    }
 }
 
 #[cfg(test)]

@@ -1,22 +1,19 @@
-//! Differential conformance for the memory-hierarchy cost model's
-//! degenerate configurations.
+//! Differential conformance for the memory hierarchy's depth-0
+//! degenerate configuration.
 //!
-//! The hierarchy ([`SimConfig::mem`]) replaces both legacy global-access
-//! cost paths — the flat coalescing fold and the single-level
-//! [`CacheConfig`] model — and claims two exact degenerate cases:
-//!
-//! - [`MemHierarchy::flat`] (no cache levels) reproduces the flat
-//!   coalescing cost `mem_base + mem_segment * (segments - 1)`;
-//! - [`MemHierarchy::l1`] (one level mirroring a `CacheConfig`)
-//!   reproduces the legacy cache cost and hit/miss counters.
+//! Global accesses are priced by one of two models: the flat coalescing
+//! fold (`SimConfig::mem = None`) or a [`MemHierarchy`]. The hierarchy
+//! claims the flat fold as its exact depth-0 case:
+//! [`MemHierarchy::flat`] (no cache levels) reproduces the flat
+//! coalescing cost `mem_base + mem_segment * (segments - 1)`.
 //!
 //! For random programs from the conformance genome, this test runs the
-//! legacy config and its degenerate hierarchy twin on **all three
+//! flat config and its degenerate hierarchy twin on **all three
 //! engines** (tree-walking reference, decoded hot loop, seed-sweep
 //! cohort) under **every scheduler policy** and asserts bit-identical
 //! results: metrics (with the hierarchy's own per-level counters
-//! stripped — they are new observability, not a cost change), final
-//! global memory, and errors.
+//! stripped — they are observability, not a cost change), final global
+//! memory, and errors.
 //!
 //! Case count defaults to 64 and is capped by `CONFORMANCE_CASES`.
 
@@ -25,8 +22,8 @@ use conformance::program::spec_strategy;
 use conformance::{build_module, compare_outputs, ProgramSpec};
 use proptest::prelude::*;
 use simt_sim::{
-    run, run_reference, run_sweep, CacheConfig, Launch, MemHierarchy, MemStats, SimConfig,
-    SimError, SimOutput, SweepLaunch, DEFAULT_SEED,
+    run, run_reference, run_sweep, Launch, MemHierarchy, MemStats, SimConfig, SimError, SimOutput,
+    SweepLaunch, DEFAULT_SEED,
 };
 
 /// Instances per sweep comparison (small: the sweep engine's own
@@ -37,11 +34,11 @@ const INSTANCES: u64 = 4;
 /// Cycle budget per run (mirrors the oracle's).
 const MAX_CYCLES: u64 = 5_000_000;
 
-/// Compares a legacy run with its hierarchy twin, with the
-/// hierarchy-only counters removed from the twin (a legacy run never
+/// Compares a flat run with its hierarchy twin, with the
+/// hierarchy-only counters removed from the twin (a flat run never
 /// populates them).
-fn compare_legacy(
-    legacy: &Result<SimOutput, SimError>,
+fn compare_flat(
+    flat: &Result<SimOutput, SimError>,
     hier: &Result<SimOutput, SimError>,
     what: &str,
 ) -> Result<(), String> {
@@ -49,14 +46,14 @@ fn compare_legacy(
         h.metrics.mem = MemStats::default();
         h
     });
-    compare_outputs(legacy, &stripped, what)
+    compare_outputs(flat, &stripped, what)
 }
 
-/// Runs `legacy_cfg` and `hier_cfg` over the spec's program on all
+/// Runs `flat_cfg` and `hier_cfg` over the spec's program on all
 /// three engines and demands identical observable results.
 fn check_degenerate(
     spec: &ProgramSpec,
-    legacy_cfg: &SimConfig,
+    flat_cfg: &SimConfig,
     hier_cfg: &SimConfig,
     what: &str,
 ) -> Result<(), String> {
@@ -65,24 +62,24 @@ fn check_degenerate(
     base.global_mem = vec![simt_ir::Value::I64(0); conformance::build::mem_cells(spec)];
 
     // Decoded hot loop.
-    let l = run(&module, legacy_cfg, &base);
+    let l = run(&module, flat_cfg, &base);
     let h = run(&module, hier_cfg, &base);
-    compare_legacy(&l, &h, &format!("{what}/decoded"))?;
+    compare_flat(&l, &h, &format!("{what}/decoded"))?;
 
     // Tree-walking reference oracle.
-    let l = run_reference(&module, legacy_cfg, &base);
+    let l = run_reference(&module, flat_cfg, &base);
     let h = run_reference(&module, hier_cfg, &base);
-    compare_legacy(&l, &h, &format!("{what}/reference"))?;
+    compare_flat(&l, &h, &format!("{what}/reference"))?;
 
     // Seed-sweep cohort, per seed.
     let seed_lo = DEFAULT_SEED.wrapping_add(spec.seed & 0xFFFF);
     let sweep = SweepLaunch::new(base, seed_lo, seed_lo + INSTANCES);
-    let ls = run_sweep(&module, legacy_cfg, &sweep)
-        .map_err(|e| format!("{what}/sweep: legacy sweep failed: {e}"))?;
+    let ls = run_sweep(&module, flat_cfg, &sweep)
+        .map_err(|e| format!("{what}/sweep: flat sweep failed: {e}"))?;
     let hs = run_sweep(&module, hier_cfg, &sweep)
         .map_err(|e| format!("{what}/sweep: hier sweep failed: {e}"))?;
     for (lr, hr) in ls.runs.iter().zip(hs.runs.iter()) {
-        compare_legacy(&lr.result, &hr.result, &format!("{what}/sweep seed {}", lr.seed))?;
+        compare_flat(&lr.result, &hr.result, &format!("{what}/sweep seed {}", lr.seed))?;
     }
     Ok(())
 }
@@ -97,19 +94,9 @@ fn check(spec: &ProgramSpec) -> Result<(), String> {
         };
 
         // Depth 0: flat coalescing fold vs an empty-levels hierarchy.
-        let legacy = base_cfg.clone();
         let hier =
             SimConfig { mem: Some(MemHierarchy::flat(&base_cfg.latency)), ..base_cfg.clone() };
-        check_degenerate(spec, &legacy, &hier, &format!("{policy:?}/flat"))?;
-
-        // Depth 1: legacy CacheConfig vs its one-level hierarchy twin.
-        let cache = CacheConfig::default();
-        let legacy = SimConfig { cache: Some(cache.clone()), ..base_cfg.clone() };
-        let hier = SimConfig {
-            mem: Some(MemHierarchy::l1(&cache, &base_cfg.latency)),
-            ..base_cfg.clone()
-        };
-        check_degenerate(spec, &legacy, &hier, &format!("{policy:?}/l1"))?;
+        check_degenerate(spec, &base_cfg, &hier, &format!("{policy:?}/flat"))?;
     }
     Ok(())
 }
@@ -121,7 +108,7 @@ proptest! {
     })]
 
     #[test]
-    fn degenerate_hierarchies_reproduce_legacy_costs(spec in spec_strategy()) {
+    fn flat_hierarchy_reproduces_flat_costs(spec in spec_strategy()) {
         if let Err(violation) = check(&spec) {
             prop_assert!(
                 false,

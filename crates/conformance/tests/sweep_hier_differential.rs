@@ -1,13 +1,14 @@
 //! Differential conformance for the seed-sweep cohort under real
-//! (multi-level, MSHR-limited) memory hierarchies.
+//! (multi-level, MSHR-limited) memory hierarchies and the L1 preset.
 //!
 //! The cohort prices a global access by walking the hierarchy once per
 //! memory-state class of seed instances and replaying the walk's fills
 //! on the other members; forks on any disagreement in the walk's
 //! outcome; and keeps machine-wide MSHR files per instance. None of that
-//! is visible in the degenerate flat and L1-only hierarchies that
+//! is visible in the degenerate flat hierarchy that
 //! `hier_flat_differential.rs` crosses, so this test runs random genome
-//! programs under two tight multi-level specs and demands
+//! programs under two tight multi-level specs and the single-level
+//! [`MemHierarchy::l1`] preset and demands
 //!
 //! sweep ≡ N independent decoded runs ≡ N tree-walking reference runs
 //!
@@ -23,7 +24,8 @@ use conformance::{build_module, compare_outputs, ProgramSpec};
 use proptest::prelude::*;
 use simt_ir::Module;
 use simt_sim::{
-    run, run_reference, run_sweep, Launch, MemHierarchy, SimConfig, SweepLaunch, DEFAULT_SEED,
+    run, run_reference, run_sweep, LatencyModel, Launch, MemHierarchy, SimConfig, SweepLaunch,
+    DEFAULT_SEED,
 };
 use specrecon_core::{compile, CompileOptions, PassError, RepairStrategy};
 
@@ -37,6 +39,14 @@ const TIGHT: &str =
 /// into in-flight entries at each depth.
 const THREE_LEVEL: &str = "l1:lines=8,cells=8,lat=2,mshrs=2;l2:lines=32,cells=16,lat=6,mshrs=2;\
                            l3:lines=128,cells=32,lat=14,mshrs=3;dram:lat=40,extra=3";
+
+/// The hierarchies crossed, by name: the two tight specs above and the
+/// L1 preset (`figures ablate-cache`).
+fn hierarchies() -> [(&'static str, MemHierarchy); 3] {
+    let lat = LatencyModel::default();
+    let parse = |spec| MemHierarchy::parse(spec, &lat).expect("valid spec");
+    [(TIGHT, parse(TIGHT)), (THREE_LEVEL, parse(THREE_LEVEL)), ("l1", MemHierarchy::l1(&lat))]
+}
 
 /// Seed instances per sweep.
 const INSTANCES: u64 = 6;
@@ -80,16 +90,16 @@ fn check(spec: &ProgramSpec) -> Result<u64, String> {
     let mut base = Launch::new("main", spec.warps);
     base.global_mem = vec![simt_ir::Value::I64(0); conformance::build::mem_cells(spec)];
     for (variant, module) in variants(spec)? {
-        for mem_spec in [TIGHT, THREE_LEVEL] {
+        for (mem_name, mem) in hierarchies() {
             for policy in POLICIES {
-                let what = format!("{variant}/{policy:?}/{mem_spec}");
-                let mut cfg = SimConfig {
+                let what = format!("{variant}/{policy:?}/{mem_name}");
+                let cfg = SimConfig {
                     warp_width: spec.warp_width,
                     scheduler: policy,
                     max_cycles: MAX_CYCLES,
+                    mem: Some(mem.clone()),
                     ..SimConfig::default()
                 };
-                cfg.mem = Some(MemHierarchy::parse(mem_spec, &cfg.latency).expect("valid spec"));
                 let sweep = SweepLaunch::new(base.clone(), seed_lo, seed_lo + INSTANCES);
                 let out = run_sweep(&module, &cfg, &sweep)
                     .map_err(|e| format!("{what}: whole sweep failed: {e}"))?;

@@ -8,7 +8,7 @@
 //! TLS. Limits guard the parser: oversized request heads or bodies are
 //! rejected before buffering them.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers).
@@ -73,12 +73,13 @@ impl std::fmt::Display for ReadError {
     }
 }
 
-/// Reads one request from a buffered stream.
+/// Reads one request from a buffered stream (a socket's `BufReader` in
+/// the server; any byte source in tests).
 ///
 /// A read timeout on the underlying socket surfaces as
 /// [`ReadError::TimedOut`] — the server's connection loop uses that as
 /// its shutdown poll point.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
     let mut head = Vec::new();
     // Read byte-wise until the blank line; BufReader makes this cheap,
     // and it never over-reads into the body.
@@ -157,11 +158,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
 }
 
 /// Reads one `\n`-terminated line (terminator stripped) with a length cap.
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    out: &mut Vec<u8>,
-    cap: usize,
-) -> Result<(), ReadError> {
+fn read_line<R: BufRead>(reader: &mut R, out: &mut Vec<u8>, cap: usize) -> Result<(), ReadError> {
     loop {
         let available = match reader.fill_buf() {
             Ok(buf) => buf,
@@ -283,6 +280,7 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufReader, Read};
     use std::net::{TcpListener, TcpStream};
 
     /// Round-trips a raw request string through a real socket pair.

@@ -1,12 +1,21 @@
 //! Minimal JSON value, parser, and printer.
 //!
-//! The workspace has no crates.io access, so — like the perf-snapshot
-//! format in `specrecon-bench` and the trace exporters in `simt-sim` —
-//! the service hand-rolls its JSON. The subset is complete for the
-//! `/v1/eval` schema: objects, arrays, strings with escapes, numbers,
-//! booleans, null.
+//! The workspace has no crates.io access, so — like the trace exporters
+//! in `simt-sim` — the service hand-rolls its JSON; `specrecon-bench`
+//! reads and writes its perf snapshots through this module too. The
+//! subset is complete for the `/v1/eval` schema: objects, arrays,
+//! strings with escapes, numbers, booleans, null.
+//!
+//! The parser is recursive, so it bounds nesting at [`MAX_DEPTH`]: a
+//! request body of a few kilobytes of `[` must come back as an error,
+//! not overflow the connection thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Far above
+/// anything the `/v1/eval` schema or a perf snapshot needs (depth 3),
+/// far below what overflows a thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,7 +37,7 @@ pub enum Json {
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -161,8 +170,11 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -187,8 +199,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -294,11 +313,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // over ASCII or whole scalars, so it sits on a char
+                    // boundary of the input.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid utf-8")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -365,6 +387,18 @@ mod tests {
     fn integral_numbers_render_without_fraction() {
         assert_eq!(Json::u64(12345).render(), "12345");
         assert_eq!(Json::num(0.5).render(), "0.5");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Unbounded recursion would overflow the stack here.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objs).is_err());
     }
 
     #[test]

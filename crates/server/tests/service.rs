@@ -261,6 +261,24 @@ fn oversized_body_closes_the_connection() {
     runner.join().unwrap().unwrap();
 }
 
+/// A 10,000-deep `[` body once overflowed the connection thread's stack
+/// inside the recursive JSON parser and aborted the whole process. The
+/// parser's nesting bound turns it into a 400, and the server keeps
+/// answering requests afterwards.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_server_keeps_serving() {
+    let (addr, handle, runner) = start(local(8, 2));
+
+    let nested = request(&addr, "POST", "/v1/eval", &"[".repeat(10_000));
+    assert_eq!(nested.status, 400);
+    assert!(nested.body.contains("nesting"), "{}", nested.body);
+    let next = request(&addr, "POST", "/v1/eval", r#"{"workload":"microbench","seeds":2}"#);
+    assert_eq!(next.status, 200, "{}", next.body);
+
+    handle.shutdown();
+    runner.join().unwrap().unwrap();
+}
+
 /// Seed ranges wider than one 64-slot cohort used to be rejected at the
 /// API boundary even though the engine chunks arbitrary ranges. A
 /// 200-seed range must now answer — bit-identically to 200 scalar

@@ -316,9 +316,6 @@ pub(crate) struct Warp {
     /// Per-warp — only this warp's own issues can invalidate it, so it
     /// stays valid across a [`Warp::pick_hint`] chain.
     pub(crate) other_pcs: Vec<usize>,
-    /// Direct-mapped L1 tag array (line index -> cached line tag), when
-    /// the cache cost model is on.
-    pub(crate) cache_tags: Vec<Option<i64>>,
     /// Per-level tag arrays of the memory-hierarchy cost model, when
     /// [`SimConfig::mem`] is on (empty otherwise).
     pub(crate) mem_tags: crate::mem::MemTags,
@@ -350,9 +347,9 @@ impl Warp {
 pub(crate) struct Scratch {
     /// Grouped `(pc, lane mask)` scheduler candidates.
     groups: Vec<(usize, u64)>,
-    /// Per-access cell addresses for the coalescing/cache cost model.
+    /// Per-access cell addresses for the global-memory cost model.
     addrs: Vec<i64>,
-    /// Segment/line ids derived from `addrs`.
+    /// Segment ids derived from `addrs` (flat coalescing).
     lines: Vec<i64>,
     /// Per-lane results of a fallible kernel, committed only once every
     /// lane succeeded. Never cleared: each issue writes the lanes it
@@ -546,7 +543,6 @@ impl<'m> Machine<'m> {
                 last_lanes: 0,
                 pick_hint: None,
                 other_pcs: Vec::new(),
-                cache_tags: cfg.cache.as_ref().map(|c| vec![None; c.lines]).unwrap_or_default(),
                 mem_tags: crate::mem::MemTags::new(cfg.mem.as_ref()),
                 ipdom_stack: Vec::new(),
                 splits: if matches!(cfg.recon, ReconvergenceModel::WarpSplit { .. }) {
@@ -1624,7 +1620,7 @@ impl<'m> Machine<'m> {
 
     /// The shared load/store path: evaluates per-lane addresses through
     /// one frame borrow, performs the access, and (for global space)
-    /// folds the coalescing/cache cost model over the touched addresses.
+    /// prices it with the flat coalescing fold or the hierarchy walk.
     /// `value` selects store semantics, `dst` load semantics.
     #[allow(clippy::too_many_arguments)]
     fn access(
@@ -1682,22 +1678,13 @@ impl<'m> Machine<'m> {
                     now,
                 );
                 metrics.mem.record(&out);
-                // The legacy counters mirror L1 so existing consumers
-                // (and the differential proptests) see one source of
-                // truth.
-                metrics.cache_hits += u64::from(out.levels[0].hits);
-                metrics.cache_misses += u64::from(out.levels[0].misses);
                 *pending_mem = Some(out);
                 out.cost
             } else {
-                Self::global_access_cost(
-                    cfg,
-                    warp,
-                    metrics,
-                    &mut scratch.lines,
-                    &scratch.addrs,
-                    base_cost,
-                )
+                let lat = &cfg.latency;
+                base_cost
+                    + lat.mem_segment
+                        * lat.segments_in(&scratch.addrs, &mut scratch.lines).saturating_sub(1)
             };
             if value.is_some() {
                 // Stores write through: cost like a load, but the
@@ -1725,65 +1712,12 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// Cost of a global access over the given cell addresses: coalescing
-    /// segments, filtered through the optional L1 cache cost model (the
-    /// cache serves no data — values always come from memory).
-    fn global_access_cost(
-        cfg: &SimConfig,
-        warp: &mut Warp,
-        metrics: &mut Metrics,
-        lines: &mut Vec<i64>,
-        addrs: &[i64],
-        base_cost: u32,
-    ) -> u32 {
-        let lat = &cfg.latency;
-        let Some(cache) = &cfg.cache else {
-            return base_cost + lat.mem_segment * lat.segments_in(addrs, lines).saturating_sub(1);
-        };
-        // Unique lines touched by the access.
-        let cells = cache.cells_per_line.max(1) as i64;
-        lines.clear();
-        lines.extend(addrs.iter().map(|a| a.div_euclid(cells)));
-        lines.sort_unstable();
-        lines.dedup();
-        let mut misses = 0u32;
-        for &line in lines.iter() {
-            let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-            if warp.cache_tags[slot] == Some(line) {
-                metrics.cache_hits += 1;
-            } else {
-                warp.cache_tags[slot] = Some(line);
-                metrics.cache_misses += 1;
-                misses += 1;
-            }
-        }
-        if misses == 0 {
-            cache.hit_cost.max(1)
-        } else {
-            // Pay full latency once plus a segment penalty per extra
-            // missing line.
-            lat.mem_base + lat.mem_segment * (misses - 1)
-        }
-    }
-
-    /// Drops the lines covering `addrs` from every warp's cache (stores
-    /// and atomics write through).
+    /// Drops the lines covering `addrs` from every warp's hierarchy tags
+    /// (stores and atomics write through).
     fn invalidate_lines(cfg: &SimConfig, warps: &mut [Warp], addrs: &[i64]) {
         if let Some(hier) = &cfg.mem {
             for warp in warps.iter_mut() {
                 crate::mem::invalidate(hier, &mut warp.mem_tags, addrs);
-            }
-            return;
-        }
-        let Some(cache) = &cfg.cache else { return };
-        let cells = cache.cells_per_line.max(1) as i64;
-        for warp in warps.iter_mut() {
-            for &a in addrs {
-                let line = a.div_euclid(cells);
-                let slot = (line.rem_euclid(cache.lines as i64)) as usize;
-                if warp.cache_tags[slot] == Some(line) {
-                    warp.cache_tags[slot] = None;
-                }
             }
         }
     }

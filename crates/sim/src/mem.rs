@@ -2,10 +2,12 @@
 //! over a DRAM segment model, with MSHR-style outstanding-miss
 //! tracking.
 //!
-//! Like the single-level [`CacheConfig`](crate::config::CacheConfig)
-//! model this replaces when enabled, the hierarchy never serves data —
-//! loads always read the real memory array, so kernel *results* are
-//! exact; the model only prices each global access. What it adds:
+//! This is one of the two global-memory cost models; the other, used
+//! when [`SimConfig::mem`](crate::config::SimConfig::mem) is `None`, is
+//! the flat coalescing fold of [`LatencyModel`]. The hierarchy never
+//! serves data — loads always read the real memory array, so kernel
+//! *results* are exact; the model only prices each global access. What
+//! it adds over the flat fold:
 //!
 //! - **Levels.** An access dedups its cell addresses into L1 lines and
 //!   probes the L1 tag array; missing lines rebase to the next level's
@@ -32,14 +34,17 @@
 //! round's cycle, visiting warps in index order — so the shared MSHR
 //! file sees the identical access sequence in the reference walker,
 //! the decoded hot loop, and each slot of a sweep cohort, and the
-//! differential proptests keep passing. The degenerate constructors
-//! [`MemHierarchy::flat`] and [`MemHierarchy::l1`] reproduce the old
-//! flat-coalescing and single-level cache costs bit-exactly (pinned by
-//! `crates/conformance/tests/hier_flat_differential.rs`); real
-//! multi-level, MSHR-limited specs are crossed across the three engines
-//! by `crates/conformance/tests/sweep_hier_differential.rs`.
+//! differential proptests keep passing. Two presets cover the common
+//! cases: [`MemHierarchy::flat`] reproduces the flat coalescing cost
+//! bit-exactly (pinned by
+//! `crates/conformance/tests/hier_flat_differential.rs`), and
+//! [`MemHierarchy::l1`] is a single per-warp direct-mapped L1 whose
+//! golden costs `crates/sim/tests/cache_model.rs` pins. Real
+//! multi-level, MSHR-limited specs (and the L1 preset) are crossed
+//! across the three engines by
+//! `crates/conformance/tests/sweep_hier_differential.rs`.
 
-use crate::config::{CacheConfig, LatencyModel};
+use crate::config::LatencyModel;
 
 /// Maximum number of cache levels a hierarchy may configure (L1..L3);
 /// DRAM sits below the last configured level.
@@ -74,9 +79,7 @@ impl MemLevel {
 /// levels (innermost first) over a DRAM segment model.
 ///
 /// When [`SimConfig::mem`](crate::config::SimConfig::mem) is set it
-/// replaces both the flat coalescing fold and the legacy
-/// [`CacheConfig`](crate::config::CacheConfig) cost model (`cache` is
-/// ignored).
+/// replaces the flat coalescing fold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemHierarchy {
     /// Cache levels, L1 first. May be empty (DRAM only).
@@ -104,24 +107,24 @@ impl MemHierarchy {
         }
     }
 
-    /// The depth-1 degenerate case: one L1 level mirroring a legacy
-    /// [`CacheConfig`], DRAM costs from the flat model. Reproduces the
-    /// legacy cache cost (`hit_cost.max(1)` on all-hit, else
-    /// `mem_base + mem_segment * (misses - 1)`) bit-exactly as long as
-    /// `hit_cost <= mem_base` (true for every sensible config: a hit
-    /// is cheaper than a miss).
-    pub fn l1(cache: &CacheConfig, lat: &LatencyModel) -> Self {
+    /// The L1 preset: one per-warp direct-mapped level of 64 lines of
+    /// 16 cells (128-byte lines of 8-byte cells) with a 2-cycle hit,
+    /// DRAM costs from the flat model, segments the size of a line.
+    /// An all-hit access costs 2; one with `m` missing lines costs
+    /// `mem_base + mem_segment * (m - 1)`. Other L1 geometries go
+    /// through [`parse`](Self::parse), e.g. `l1:lines=4,cells=16,lat=2`.
+    pub fn l1(lat: &LatencyModel) -> Self {
         Self {
             levels: vec![MemLevel {
-                lines: cache.lines,
-                cells_per_line: cache.cells_per_line.max(1),
-                latency: cache.hit_cost,
+                lines: 64,
+                cells_per_line: 16,
+                latency: 2,
                 extra: 0,
                 mshrs: 0,
             }],
             mem_latency: lat.mem_base,
             mem_extra: lat.mem_segment,
-            mem_cells_per_segment: cache.cells_per_line.max(1),
+            mem_cells_per_segment: 16,
         }
     }
 
@@ -466,8 +469,7 @@ pub(crate) fn apply_staged(
     let release = now + u64::from(out.cost);
     for (k, level) in hier.levels.iter().enumerate() {
         // Tag fills, in line order: a later miss colliding with an
-        // earlier one leaves the last line resident, mirroring the
-        // legacy model's in-order fill.
+        // earlier one leaves the last line resident.
         let col = &mut tags.levels[k];
         for &(at, line) in &scratch.missing[k] {
             col[at] = Some(line);
@@ -690,23 +692,32 @@ mod tests {
     }
 
     #[test]
-    fn l1_matches_legacy_cache_costs() {
+    fn l1_preset_golden_costs() {
         let l = lat();
-        let cache = CacheConfig::default();
-        let h = MemHierarchy::l1(&cache, &l);
+        let h = MemHierarchy::l1(&l);
         let mut tags = MemTags::new(Some(&h));
         let mut mshrs = MemMshrs::new(Some(&h));
         let mut scratch = MemScratch::default();
         let addrs: Vec<i64> = (0..32).collect();
-        // Cold: 2 lines miss.
+        // Cold: 2 lines miss, mem_base + one extra segment = 8 + 2.
         let out = commit(&h, &mut tags, &mut mshrs, &mut scratch, &addrs, 0);
-        assert_eq!(out.cost, l.mem_base + l.mem_segment);
+        assert_eq!(out.cost, 10);
         assert_eq!(out.levels[0].misses, 2);
-        // Warm: all hit, cost is the clamped hit cost.
+        assert_eq!(out.dram_segments, 2);
+        // Warm: all hit, cost is the 2-cycle hit.
         let out = commit(&h, &mut tags, &mut mshrs, &mut scratch, &addrs, 10);
-        assert_eq!(out.cost, cache.hit_cost.max(1));
+        assert_eq!(out.cost, 2);
         assert_eq!(out.levels[0].hits, 2);
         assert_eq!(out.dram_segments, 0);
+        // Partial: one resident line, one new one -> priced as a miss.
+        let out = commit(&h, &mut tags, &mut mshrs, &mut scratch, &[0, 40], 20);
+        assert_eq!((out.cost, out.levels[0].hits, out.levels[0].misses), (8, 1, 1));
+        // Line 64 maps onto line 0's slot and evicts it.
+        commit(&h, &mut tags, &mut mshrs, &mut scratch, &[64 * 16], 30);
+        let out = commit(&h, &mut tags, &mut mshrs, &mut scratch, &[0], 40);
+        assert_eq!((out.cost, out.levels[0].misses), (8, 1));
+        // The preset is `parse` at its documented geometry.
+        assert_eq!(MemHierarchy::parse("l1:lines=64,cells=16,lat=2", &l).unwrap(), h);
     }
 
     #[test]

@@ -35,14 +35,9 @@ pub struct Metrics {
     pub stall_cycles: u64,
     /// Dynamic count of barrier operations executed (per-lane).
     pub barrier_ops: u64,
-    /// Cache-line hits (when the cache cost model is enabled; with a
-    /// memory hierarchy configured, mirrors the L1 level's hits).
-    pub cache_hits: u64,
-    /// Cache-line misses (when the cache cost model is enabled; with a
-    /// memory hierarchy configured, mirrors the L1 level's misses).
-    pub cache_misses: u64,
     /// Per-level memory-hierarchy counters (hits, misses, MSHR merges
-    /// and stall cycles per cache level, plus DRAM traffic). All zero
+    /// and stall cycles per cache level, plus DRAM traffic; `levels[0]`
+    /// is the L1 hit/miss count). All zero under flat memory, i.e.
     /// unless [`SimConfig::mem`](crate::config::SimConfig::mem) is set.
     pub mem: crate::mem::MemStats,
     /// Hardware-reconvergence counters (IPDOM stack activity, warp

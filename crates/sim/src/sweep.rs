@@ -7,7 +7,7 @@
 //! status masks, barrier registers, the scheduler's pick state, the
 //! clock) is stored **once per sub-cohort** and shared by every
 //! instance in it, while data state (register files, local memory, RNG
-//! streams, global memory, cache tags) is stored structure-of-arrays —
+//! streams, global memory, hierarchy tags) is stored structure-of-arrays —
 //! flat columns indexed `[cell * nslots + slot]` with no per-instance
 //! pointers. One scheduling decision, one instruction decode, one cost
 //! lookup, and one metrics update then serve every instance of a
@@ -22,13 +22,12 @@
 //! - **branches**: per-slot taken masks are computed first; each class
 //!   of slots that disagrees with the largest group *forks* off as a
 //!   child sub-cohort before the branch applies;
-//! - **global accesses**: the coalescing/cache cost model makes the
-//!   issue cost (and cache-counter deltas) data-dependent, so per-slot
-//!   `(cost, hits, misses)` triples are computed without mutation and
-//!   each mismatching class forks with its pre-access state intact
-//!   (under a memory hierarchy the hierarchy is walked once per
-//!   *memory-state class* of slots with equal tags and MSHR files, see
-//!   `Cohort::mem_classes`);
+//! - **global accesses**: the global-memory cost model makes the issue
+//!   cost (and hierarchy counters) data-dependent, so per-slot access
+//!   outcomes are computed without mutation and each mismatching class
+//!   forks with its pre-access state intact (under a memory hierarchy
+//!   the hierarchy is walked once per *memory-state class* of slots
+//!   with equal tags and MSHR files, see `Cohort::mem_classes`);
 //! - **faults**: a slot whose lane faults (OOB access, division by
 //!   zero) resolves to that seed's own `Err`, exactly as its scalar run
 //!   would.
@@ -472,11 +471,6 @@ struct CWarp {
 #[derive(Clone, Debug)]
 struct DWarp {
     lanes_d: Vec<DLane>,
-    /// Direct-mapped L1 tags, `[line_index * nslots + slot]` — cache
-    /// *contents* are per-slot data (global addresses diverge), only
-    /// the resulting cost/hit/miss triple must stay uniform within a
-    /// sub-cohort.
-    cache_tags: Vec<Option<i64>>,
     /// Memory-hierarchy tag state, one [`MemTags`](crate::mem) per
     /// slot (empty unless [`SimConfig::mem`] is on). Tag *contents* are
     /// per-slot data, but slots of one memory-state class
@@ -652,12 +646,8 @@ struct Cohort<'m> {
     /// Per-slot address staging for global accesses,
     /// `[slot * lanes_in_mask + idx]`.
     addr_buf: Vec<i64>,
-    /// Line/segment ids derived from one slot's addresses.
+    /// Segment ids derived from one slot's addresses (flat coalescing).
     lines_buf: Vec<i64>,
-    /// Deduped cache lines of every slot of one access, concatenated
-    /// (indexed by per-slot spans); computed once in the cost phase and
-    /// reused for tag updates and write-through invalidation.
-    lines_all: Vec<i64>,
     /// Staged call arguments / return values, `[idx * nslots + slot]`.
     stage: Vec<Value>,
     /// Per-slot machine-wide MSHR files of the memory-hierarchy model
@@ -706,7 +696,6 @@ impl<'m> Cohort<'m> {
         let lane_mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let num_regs = kfunc.num_regs as usize;
         let entry = kfunc.entry_pc as usize;
-        let cache_lines = cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
 
         let mut warps = Vec::with_capacity(launch.num_warps);
         let mut data = Vec::with_capacity(launch.num_warps);
@@ -754,7 +743,6 @@ impl<'m> Cohort<'m> {
             });
             data.push(DWarp {
                 lanes_d,
-                cache_tags: vec![None; cache_lines * nslots],
                 hier_tags: (0..nslots)
                     .map(|_| crate::mem::MemTags::new(cfg.mem.as_ref()))
                     .collect(),
@@ -794,7 +782,6 @@ impl<'m> Cohort<'m> {
             other_pcs: Vec::new(),
             addr_buf: Vec::new(),
             lines_buf: Vec::new(),
-            lines_all: Vec::new(),
             stage: Vec::new(),
             mshrs: (0..nslots).map(|_| crate::mem::MemMshrs::new(cfg.mem.as_ref())).collect(),
             mem_classes: vec![slots],
@@ -1223,8 +1210,6 @@ fn metrics_sum(a: &Metrics, b: &Metrics) -> Metrics {
     m.roi_active_lane_sum = a.roi_active_lane_sum.wrapping_add(b.roi_active_lane_sum);
     m.stall_cycles = a.stall_cycles.wrapping_add(b.stall_cycles);
     m.barrier_ops = a.barrier_ops.wrapping_add(b.barrier_ops);
-    m.cache_hits = a.cache_hits.wrapping_add(b.cache_hits);
-    m.cache_misses = a.cache_misses.wrapping_add(b.cache_misses);
     m.mem = a.mem.wrapping_add(&b.mem);
     m.recon = a.recon.wrapping_add(&b.recon);
     m.lane_insts = a.lane_insts.wrapping_add(b.lane_insts);
@@ -1247,8 +1232,6 @@ fn metrics_delta(a: &Metrics, b: &Metrics) -> Metrics {
     m.roi_active_lane_sum = a.roi_active_lane_sum.wrapping_sub(b.roi_active_lane_sum);
     m.stall_cycles = a.stall_cycles.wrapping_sub(b.stall_cycles);
     m.barrier_ops = a.barrier_ops.wrapping_sub(b.barrier_ops);
-    m.cache_hits = a.cache_hits.wrapping_sub(b.cache_hits);
-    m.cache_misses = a.cache_misses.wrapping_sub(b.cache_misses);
     m.mem = a.mem.wrapping_sub(&b.mem);
     m.recon = a.recon.wrapping_sub(&b.recon);
     m.lane_insts = a.lane_insts.wrapping_sub(b.lane_insts);
@@ -1257,25 +1240,6 @@ fn metrics_delta(a: &Metrics, b: &Metrics) -> Metrics {
         slot.1 = a.per_warp[i].1.wrapping_sub(b.per_warp[i].1);
     }
     m
-}
-
-/// Appends the sorted, deduped cache-line ids covering `addrs` to
-/// `lines_out` and returns the span's start offset. Only the new tail is
-/// deduped — a whole-vec pass could merge the first line into an earlier
-/// span across the boundary.
-fn push_line_span(lines_out: &mut Vec<i64>, addrs: &[i64], cells: i64) -> usize {
-    let start = lines_out.len();
-    lines_out.extend(addrs.iter().map(|a| a.div_euclid(cells)));
-    lines_out[start..].sort_unstable();
-    let mut wr = start;
-    for rd in start..lines_out.len() {
-        if wr == start || lines_out[wr - 1] != lines_out[rd] {
-            lines_out[wr] = lines_out[rd];
-            wr += 1;
-        }
-    }
-    lines_out.truncate(wr);
-    start
 }
 
 /// Partitions live slots by a per-slot key: the largest class (ties
@@ -1403,8 +1367,8 @@ fn frames_match(a: &[Frame], b: &[Frame]) -> bool {
 /// Whether a detached machine's control plane equals a sub-cohort's —
 /// the rejoin test, same comparison as [`subs_match`] against the
 /// scalar representation. Ignored: `pick_hint`/`other_pcs` (scheduling
-/// hints are provably behavior-neutral) and cache tags (per-slot data
-/// in the cohort).
+/// hints are provably behavior-neutral) and hierarchy tags (per-slot
+/// data in the cohort).
 fn control_matches(sub: &SubCohort, m: &Machine<'_>) -> bool {
     sub.warps.iter().zip(m.warps.iter()).all(|(cw, mw)| {
         if cw.done != mw.done
@@ -1731,7 +1695,6 @@ impl<'m> Cohort<'m> {
     fn materialize(&self, sub: &SubCohort, s: usize, ctx: IssueCtx) -> Machine<'m> {
         let ns = self.nslots;
         let width = self.cfg.warp_width;
-        let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
         let warps = sub
             .warps
             .iter()
@@ -1777,7 +1740,6 @@ impl<'m> Cohort<'m> {
                     other_pcs: Vec::new(),
                     ipdom_stack: Vec::new(),
                     splits: Vec::new(),
-                    cache_tags: (0..cache_lines).map(|ln| dw.cache_tags[ln * ns + s]).collect(),
                     mem_tags: dw.hier_tags[s].clone(),
                     done: cw.done,
                 }
@@ -1810,7 +1772,6 @@ impl<'m> Cohort<'m> {
         isolate_slots(&mut self.mem_classes, 1u64 << s);
         let ns = self.nslots;
         let width = self.cfg.warp_width;
-        let cache_lines = self.cfg.cache.as_ref().map(|c| c.lines).unwrap_or(0);
         let Cohort { subs, bases, global, data, mshrs, .. } = self;
         let sub = &mut subs[si];
         bases[s] = metrics_delta(&m.metrics, &sub.metrics);
@@ -1819,9 +1780,6 @@ impl<'m> Cohort<'m> {
             global[a * ns + s] = *v;
         }
         for ((cw, dw), mw) in sub.warps.iter().zip(data.iter_mut()).zip(m.warps.iter()) {
-            for ln in 0..cache_lines {
-                dw.cache_tags[ln * ns + s] = mw.cache_tags[ln];
-            }
             dw.hier_tags[s] = mw.mem_tags.clone();
             let lanes = cw.lanes_c.iter().zip(dw.lanes_d.iter_mut()).zip(mw.threads.iter());
             for (l, ((cl, dl), t)) in lanes.enumerate() {
@@ -2194,16 +2152,32 @@ impl Cohort<'_> {
     }
 
     /// Global load/store: the issue cost is data-dependent (coalescing
-    /// segments, cache hits), so it runs in three phases.
+    /// segments, hierarchy state), so it runs in three phases.
     ///
-    /// 1. Per slot, compute the lane addresses, the first fault (if
-    ///    any), and the `(cost, hits, misses)` triple — with **no**
+    /// 1. Stage every slot's lane addresses, flag each slot's first
+    ///    fault, and price the access per slot as an
+    ///    [`AccessOutcome`](crate::mem::AccessOutcome) — with **no**
     ///    mutation, so a diverging slot's pre-access state is intact.
     /// 2. Resolve faulted slots to their own errors; partition the rest
-    ///    by triple and fork off the minority classes.
+    ///    by outcome and fork off the minority classes.
     /// 3. Apply the access to the surviving slots (value movement,
-    ///    per-slot cache-tag updates, write-through invalidation) and
-    ///    return the now-uniform cost.
+    ///    hierarchy fills, write-through invalidation) and return the
+    ///    now-uniform cost.
+    ///
+    /// Only the pricing differs between the two cost models. Flat
+    /// memory folds each slot's coalescing segments into a cost-only
+    /// outcome, once for all slots when their addresses agree. Under a
+    /// hierarchy the walk runs once per memory-state class
+    /// ([`Self::mem_classes`]), not once per slot: a class's slots hold
+    /// equal tags and MSHR files, so where its issuing slots also share
+    /// one address vector, a pure [`probe`](crate::mem::probe) on the
+    /// lowest of them prices the access for all of them, and phase 3
+    /// replays that walk's staged fills on every member with
+    /// [`apply_staged`](crate::mem::apply_staged). A class part whose
+    /// addresses differ is probed and committed slot by slot, and its
+    /// committing slots become classes of their own. Probes never
+    /// mutate, so a forking slot's pre-access state stays intact for
+    /// its replay; every class the commit cuts is split afterwards.
     #[allow(clippy::too_many_arguments)]
     fn access_global_c(
         &mut self,
@@ -2215,189 +2189,6 @@ impl Cohort<'_> {
         value: Option<Operand>,
         dst: Option<simt_ir::Reg>,
         base_cost: u32,
-    ) -> u32 {
-        if self.cfg.mem.is_some() {
-            return self.access_global_hier_c(sub, pc, mask, ctx, addr, value, dst);
-        }
-        let ns = self.nslots;
-        let w = ctx.w;
-        let k = mask.count_ones() as usize;
-        let mut faults: Vec<(usize, SlotFault)> = Vec::new();
-        let mut triples = [(0u32, 0u64, 0u64); COHORT_SLOTS];
-        let mut spans = [(0u32, 0u32); COHORT_SLOTS];
-        {
-            let glen = self.global_len;
-            let slots = sub.slots;
-            let Cohort { data, addr_buf, lines_buf, lines_all, cfg, .. } = self;
-            let cw = &sub.warps[w];
-            let dw = &data[w];
-            addr_buf.clear();
-            addr_buf.resize(ns * k, 0);
-            // Lane-major address staging: the operand row resolves once
-            // per lane, out-of-range slots are flagged and attributed to
-            // their first faulting lane below. Slot-uniform addresses
-            // (seed-independent access streams — the common case) are
-            // detected on the fly to share the line dedup below.
-            let mut oob = 0u64;
-            let mut uniform = true;
-            let rep = if slots == 0 { 0 } else { slots.trailing_zeros() as usize };
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &dw.lanes_d[l];
-                let row = dl.row(ns, base, addr);
-                let a0 = dl.get(row, rep).as_i64();
-                for (lo, hi) in mask_runs(slots) {
-                    for s in lo..hi {
-                        let a = dl.get(row, s).as_i64();
-                        addr_buf[s * k + idx] = a;
-                        uniform &= a == a0;
-                        if a < 0 || a as usize >= glen {
-                            oob |= 1 << s;
-                        }
-                    }
-                }
-            }
-            for s in lanes(oob) {
-                let (idx, l) = lanes(mask)
-                    .enumerate()
-                    .find(|&(idx, _)| {
-                        let a = addr_buf[s * k + idx];
-                        a < 0 || a as usize >= glen
-                    })
-                    .expect("faulted slot has a faulting lane");
-                let a = addr_buf[s * k + idx];
-                faults.push((
-                    s,
-                    SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
-                ));
-            }
-            lines_all.clear();
-            if uniform && oob == 0 && slots != 0 {
-                // Every slot touches the same cells: dedup the line set
-                // once and share the span; only the per-slot tag lookups
-                // (histories may differ after forks and rejoins) stay
-                // per slot.
-                let addrs = &addr_buf[rep * k..(rep + 1) * k];
-                match &cfg.cache {
-                    None => {
-                        let segs = cfg.latency.segments_in(addrs, lines_buf);
-                        let t =
-                            (base_cost + cfg.latency.mem_segment * segs.saturating_sub(1), 0, 0);
-                        for s in lanes(slots) {
-                            triples[s] = t;
-                        }
-                    }
-                    Some(cache) => {
-                        let cells = cache.cells_per_line.max(1) as i64;
-                        let start = push_line_span(lines_all, addrs, cells);
-                        let span = (start as u32, (lines_all.len() - start) as u32);
-                        for s in lanes(slots) {
-                            triples[s] =
-                                Self::overlay_triple(cfg, cache, dw, ns, s, &lines_all[start..]);
-                            spans[s] = span;
-                        }
-                    }
-                }
-            } else {
-                for s in lanes(slots & !oob) {
-                    let addrs = &addr_buf[s * k..(s + 1) * k];
-                    let start = lines_all.len();
-                    triples[s] =
-                        Self::cost_triple(cfg, dw, ns, s, addrs, lines_buf, lines_all, base_cost);
-                    spans[s] = (start as u32, (lines_all.len() - start) as u32);
-                }
-            }
-        }
-        for (s, f) in faults {
-            let e = self.fault_to_err(w, pc, f);
-            self.resolve_err(sub, s, e);
-        }
-        if sub.slots == 0 {
-            return base_cost;
-        }
-        let (_winner, minorities) = partition_classes(sub.slots, |s| triples[s]);
-        for class in minorities {
-            self.split_off(sub, class, ctx);
-        }
-        let winners = sub.slots;
-        let (cost, hits, misses) = triples[winners.trailing_zeros() as usize];
-        {
-            let cfg = self.cfg;
-            let Cohort { data, addr_buf, lines_all, global, .. } = self;
-            let cw = &mut sub.warps[w];
-            let dw = &mut data[w];
-            for (idx, l) in lanes(mask).enumerate() {
-                let base = cw.lanes_c[l].cur_base();
-                let dl = &mut dw.lanes_d[l];
-                if let Some(v) = value {
-                    let row = dl.row(ns, base, v);
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            global[a * ns + s] = dl.get(row, s);
-                        }
-                    }
-                } else if let Some(dst) = dst {
-                    let drow = (base + dst.index()) * ns;
-                    for (lo, hi) in mask_runs(winners) {
-                        for s in lo..hi {
-                            let a = addr_buf[s * k + idx] as usize;
-                            dl.vals[drow + s] = global[a * ns + s];
-                        }
-                    }
-                }
-                cw.pcs[l] += 1;
-            }
-            // Per-slot tag updates over the deduped lines staged in the
-            // cost phase: setting each line's tag in order reproduces
-            // the scalar fill exactly (hits are no-op writes; colliding
-            // lines leave the last one resident).
-            if let Some(cache) = &cfg.cache {
-                let nl = cache.lines as i64;
-                for s in lanes(winners) {
-                    let (start, len) = spans[s];
-                    for &line in &lines_all[start as usize..(start + len) as usize] {
-                        let slot = line.rem_euclid(nl) as usize;
-                        dw.cache_tags[slot * ns + s] = Some(line);
-                    }
-                }
-            }
-        }
-        if value.is_some() {
-            self.invalidate_spans(winners, &spans);
-        }
-        sub.metrics.cache_hits += hits;
-        sub.metrics.cache_misses += misses;
-        cost
-    }
-
-    /// [`Self::access_global_c`] under the memory-hierarchy cost model:
-    /// the same three phases, with the per-slot *walk outcome*
-    /// ([`AccessOutcome`](crate::mem::AccessOutcome) — cost plus every
-    /// per-level counter) as the fork key.
-    ///
-    /// The hierarchy is walked once per memory-state class
-    /// ([`Self::mem_classes`]), not once per slot. A class's slots hold
-    /// equal tags and MSHR files, so where its issuing slots also share
-    /// one address vector, a pure [`probe`](crate::mem::probe) on the
-    /// lowest of them prices the access for all of them (phase 1), and
-    /// phase 3 commits on that representative and replays the walk's
-    /// staged fills on the others with
-    /// [`apply_staged`](crate::mem::apply_staged). A class part whose
-    /// addresses differ is probed and committed slot by slot, and its
-    /// committing slots become classes of their own. Probes never
-    /// mutate, so a forking slot's pre-access state stays intact for
-    /// its replay; every class the commit cuts is split afterwards.
-    #[allow(clippy::too_many_arguments)]
-    fn access_global_hier_c(
-        &mut self,
-        sub: &mut SubCohort,
-        pc: usize,
-        mask: u64,
-        ctx: IssueCtx,
-        addr: Operand,
-        value: Option<Operand>,
-        dst: Option<simt_ir::Reg>,
     ) -> u32 {
         let ns = self.nslots;
         let w = ctx.w;
@@ -2415,12 +2206,17 @@ impl Cohort<'_> {
         {
             let glen = self.global_len;
             let slots = sub.slots;
-            let Cohort { data, addr_buf, mshrs, mem_scratch, mem_classes, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
+            let Cohort { data, addr_buf, lines_buf, mshrs, mem_scratch, mem_classes, cfg, .. } =
+                self;
             let cw = &sub.warps[w];
             let dw = &data[w];
             addr_buf.clear();
             addr_buf.resize(ns * k, 0);
+            // Lane-major address staging: the operand row resolves once
+            // per lane, out-of-range slots are flagged and attributed to
+            // their first faulting lane below. Slot-uniform addresses
+            // (seed-independent access streams — the common case) are
+            // detected on the fly so pricing can be shared.
             let mut oob = 0u64;
             let mut uniform = true;
             let rep = if slots == 0 { 0 } else { slots.trailing_zeros() as usize };
@@ -2454,31 +2250,58 @@ impl Cohort<'_> {
                     SlotFault::Oob { lane: l, addr: a, size: glen, space: MemSpace::Global },
                 ));
             }
-            // Cost phase: one pure probe per class part with a shared
-            // address vector, one per slot elsewhere.
             let live = slots & !oob;
-            if !uniform {
-                scattered = scattered_parts(mem_classes, live, addr_buf, k);
-            }
-            for &class in mem_classes.iter() {
-                let part = class & live;
-                let probed = if part & scattered == 0 { part & part.wrapping_neg() } else { part };
-                for r in lanes(probed) {
-                    let addrs = &addr_buf[r * k..(r + 1) * k];
-                    let out = crate::mem::probe(
-                        hier,
-                        &dw.hier_tags[r],
-                        &mshrs[r],
-                        mem_scratch,
-                        addrs,
-                        now,
-                    );
-                    staged = Some(r);
-                    if probed == part {
-                        outs[r] = out;
+            match &cfg.mem {
+                None => {
+                    // Flat coalescing: a cost-only outcome per slot,
+                    // priced once when every slot touches the same cells.
+                    let lat = &cfg.latency;
+                    let mut price = |r: usize| {
+                        let segs = lat.segments_in(&addr_buf[r * k..(r + 1) * k], lines_buf);
+                        let cost = base_cost + lat.mem_segment * segs.saturating_sub(1);
+                        crate::mem::AccessOutcome { cost, ..Default::default() }
+                    };
+                    if uniform {
+                        if live != 0 {
+                            let out = price(rep);
+                            for s in lanes(live) {
+                                outs[s] = out;
+                            }
+                        }
                     } else {
-                        for s in lanes(part) {
-                            outs[s] = out;
+                        for s in lanes(live) {
+                            outs[s] = price(s);
+                        }
+                    }
+                }
+                Some(hier) => {
+                    // One pure probe per class part with a shared
+                    // address vector, one per slot elsewhere.
+                    if !uniform {
+                        scattered = scattered_parts(mem_classes, live, addr_buf, k);
+                    }
+                    for &class in mem_classes.iter() {
+                        let part = class & live;
+                        let probed =
+                            if part & scattered == 0 { part & part.wrapping_neg() } else { part };
+                        for r in lanes(probed) {
+                            let addrs = &addr_buf[r * k..(r + 1) * k];
+                            let out = crate::mem::probe(
+                                hier,
+                                &dw.hier_tags[r],
+                                &mshrs[r],
+                                mem_scratch,
+                                addrs,
+                                now,
+                            );
+                            staged = Some(r);
+                            if probed == part {
+                                outs[r] = out;
+                            } else {
+                                for s in lanes(part) {
+                                    outs[s] = out;
+                                }
+                            }
                         }
                     }
                 }
@@ -2489,7 +2312,7 @@ impl Cohort<'_> {
             self.resolve_err(sub, s, e);
         }
         if sub.slots == 0 {
-            return self.costs[pc];
+            return base_cost;
         }
         let (_winner, minorities) = partition_classes(sub.slots, |s| outs[s]);
         for class in minorities {
@@ -2499,7 +2322,6 @@ impl Cohort<'_> {
         let out = outs[winners.trailing_zeros() as usize];
         {
             let Cohort { data, addr_buf, global, mshrs, mem_scratch, mem_classes, cfg, .. } = self;
-            let hier = cfg.mem.as_ref().expect("hier access without mem configured");
             let cw = &mut sub.warps[w];
             let dw = &mut data[w];
             for (idx, l) in lanes(mask).enumerate() {
@@ -2524,139 +2346,52 @@ impl Cohort<'_> {
                 }
                 cw.pcs[l] += 1;
             }
-            // Apply phase: per committing class part, its lowest slot
-            // (every slot, if scattered) stages the walk — unless the
-            // cost phase's last probe still holds it — and every slot
-            // of the part applies the staged fills and MSHR entries.
-            for &class in mem_classes.iter() {
-                let part = class & winners;
-                for s in lanes(part) {
-                    let lead = s == part.trailing_zeros() as usize || scattered & (1u64 << s) != 0;
-                    if lead && staged != Some(s) {
-                        let addrs = &addr_buf[s * k..(s + 1) * k];
-                        let walked = crate::mem::probe(
+            // Hierarchy fills: per committing class part, its lowest
+            // slot (every slot, if scattered) stages the walk — unless
+            // the cost phase's last probe still holds it — and every
+            // slot of the part applies the staged fills and MSHR entries.
+            if let Some(hier) = &cfg.mem {
+                for &class in mem_classes.iter() {
+                    let part = class & winners;
+                    for s in lanes(part) {
+                        let lead =
+                            s == part.trailing_zeros() as usize || scattered & (1u64 << s) != 0;
+                        if lead && staged != Some(s) {
+                            let addrs = &addr_buf[s * k..(s + 1) * k];
+                            let walked = crate::mem::probe(
+                                hier,
+                                &dw.hier_tags[s],
+                                &mshrs[s],
+                                mem_scratch,
+                                addrs,
+                                now,
+                            );
+                            debug_assert_eq!(walked, out, "the commit walk must replay the probe");
+                            staged = Some(s);
+                        }
+                        crate::mem::apply_staged(
                             hier,
-                            &dw.hier_tags[s],
-                            &mshrs[s],
+                            &mut dw.hier_tags[s],
+                            &mut mshrs[s],
                             mem_scratch,
-                            addrs,
+                            &out,
                             now,
                         );
-                        debug_assert_eq!(walked, out, "the commit walk must replay the probe");
-                        staged = Some(s);
                     }
-                    crate::mem::apply_staged(
-                        hier,
-                        &mut dw.hier_tags[s],
-                        &mut mshrs[s],
-                        mem_scratch,
-                        &out,
-                        now,
-                    );
                 }
             }
         }
-        if value.is_some() {
-            // Write-through invalidation (equal address vectors keep a
-            // class's tags equal).
-            self.invalidate_hier_c(winners, k);
+        if self.cfg.mem.is_some() {
+            if value.is_some() {
+                // Write-through invalidation (equal address vectors keep
+                // a class's tags equal).
+                self.invalidate_hier_c(winners, k);
+            }
+            split_classes(&mut self.mem_classes, winners);
+            isolate_slots(&mut self.mem_classes, winners & scattered);
         }
-        split_classes(&mut self.mem_classes, winners);
-        isolate_slots(&mut self.mem_classes, winners & scattered);
         sub.metrics.mem.record(&out);
-        sub.metrics.cache_hits += u64::from(out.levels[0].hits);
-        sub.metrics.cache_misses += u64::from(out.levels[0].misses);
         out.cost
-    }
-
-    /// One slot's `(cost, cache hits, cache misses)` for a global
-    /// access, computed without touching the tag array. An overlay of
-    /// would-be tag writes models intra-access evictions (an earlier
-    /// missing line can evict the line a later one would have hit).
-    ///
-    /// With a cache configured, the slot's deduped line set is appended
-    /// to `lines_out` so the apply phase can replay tag updates and
-    /// write-through invalidation without recomputing it.
-    #[allow(clippy::too_many_arguments)]
-    fn cost_triple(
-        cfg: &SimConfig,
-        dw: &DWarp,
-        ns: usize,
-        s: usize,
-        addrs: &[i64],
-        seg_scratch: &mut Vec<i64>,
-        lines_out: &mut Vec<i64>,
-        base_cost: u32,
-    ) -> (u32, u64, u64) {
-        let lat = &cfg.latency;
-        let Some(cache) = &cfg.cache else {
-            let segs = lat.segments_in(addrs, seg_scratch);
-            return (base_cost + lat.mem_segment * segs.saturating_sub(1), 0, 0);
-        };
-        let cells = cache.cells_per_line.max(1) as i64;
-        let start = push_line_span(lines_out, addrs, cells);
-        Self::overlay_triple(cfg, cache, dw, ns, s, &lines_out[start..])
-    }
-
-    /// The overlay walk of [`Self::cost_triple`] over an already-deduped
-    /// line set: one slot's `(cost, hits, misses)` against its tag
-    /// column, without mutating the tags.
-    fn overlay_triple(
-        cfg: &SimConfig,
-        cache: &crate::config::CacheConfig,
-        dw: &DWarp,
-        ns: usize,
-        s: usize,
-        lines: &[i64],
-    ) -> (u32, u64, u64) {
-        let lat = &cfg.latency;
-        let mut overlay = [(0usize, 0i64); COHORT_SLOTS];
-        let mut overlay_n = 0usize;
-        let mut hits = 0u64;
-        let mut misses = 0u32;
-        for &line in lines {
-            let slot = line.rem_euclid(cache.lines as i64) as usize;
-            let tag = overlay[..overlay_n]
-                .iter()
-                .rev()
-                .find(|&&(sl, _)| sl == slot)
-                .map(|&(_, ln)| Some(ln))
-                .unwrap_or(dw.cache_tags[slot * ns + s]);
-            if tag == Some(line) {
-                hits += 1;
-            } else {
-                overlay[overlay_n] = (slot, line);
-                overlay_n += 1;
-                misses += 1;
-            }
-        }
-        let cost = if misses == 0 {
-            cache.hit_cost.max(1)
-        } else {
-            lat.mem_base + lat.mem_segment * (misses - 1)
-        };
-        (cost, hits, u64::from(misses))
-    }
-
-    /// Write-through invalidation over the deduped line spans staged by
-    /// the cost phase: drops each slot's touched lines from that slot's
-    /// tag column in **every** warp.
-    fn invalidate_spans(&mut self, slots: u64, spans: &[(u32, u32); COHORT_SLOTS]) {
-        let Some(cache) = &self.cfg.cache else { return };
-        let nl = cache.lines as i64;
-        let ns = self.nslots;
-        let Cohort { data, lines_all, .. } = self;
-        for s in lanes(slots) {
-            let (start, len) = spans[s];
-            for &line in &lines_all[start as usize..(start + len) as usize] {
-                let slot = line.rem_euclid(nl) as usize;
-                for dw in data.iter_mut() {
-                    if dw.cache_tags[slot * ns + s] == Some(line) {
-                        dw.cache_tags[slot * ns + s] = None;
-                    }
-                }
-            }
-        }
     }
 
     /// Memory-hierarchy write-through invalidation: drops the lines
@@ -2673,36 +2408,20 @@ impl Cohort<'_> {
         }
     }
 
-    /// Write-through invalidation: drops the lines covering each slot's
-    /// staged addresses (`addr_buf`, `k` per slot) from that slot's tag
-    /// column in **every** warp (the atomics path, which has no staged
-    /// line spans).
+    /// Write-through invalidation for atomics: drops the lines covering
+    /// each slot's staged addresses (`addr_buf`, `k` per slot) from that
+    /// slot's hierarchy tags in **every** warp, refining the
+    /// memory-state classes it cuts. A no-op under flat memory.
     fn invalidate_lines_c(&mut self, slots: u64, k: usize) {
-        if self.cfg.mem.is_some() {
-            self.invalidate_hier_c(slots, k);
-            // Equal address vectors invalidate equal tags equally; any
-            // other part of a class drifts apart slot by slot.
-            let scattered = scattered_parts(&self.mem_classes, slots, &self.addr_buf, k);
-            split_classes(&mut self.mem_classes, slots);
-            isolate_slots(&mut self.mem_classes, scattered);
+        if self.cfg.mem.is_none() {
             return;
         }
-        let Some(cache) = &self.cfg.cache else { return };
-        let cells = cache.cells_per_line.max(1) as i64;
-        let nl = cache.lines as i64;
-        let ns = self.nslots;
-        let Cohort { data, addr_buf, .. } = self;
-        for s in lanes(slots) {
-            for idx in 0..k {
-                let line = addr_buf[s * k + idx].div_euclid(cells);
-                let slot = line.rem_euclid(nl) as usize;
-                for dw in data.iter_mut() {
-                    if dw.cache_tags[slot * ns + s] == Some(line) {
-                        dw.cache_tags[slot * ns + s] = None;
-                    }
-                }
-            }
-        }
+        self.invalidate_hier_c(slots, k);
+        // Equal address vectors invalidate equal tags equally; any
+        // other part of a class drifts apart slot by slot.
+        let scattered = scattered_parts(&self.mem_classes, slots, &self.addr_buf, k);
+        split_classes(&mut self.mem_classes, slots);
+        isolate_slots(&mut self.mem_classes, scattered);
     }
 
     /// Local load/store: flat cost, so only per-slot OOB faults can
@@ -2833,7 +2552,7 @@ impl Cohort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheConfig;
+    use crate::mem::MemHierarchy;
     use simt_ir::parse_and_link;
 
     /// Slot-uniform control: every seed takes the same path (branches key
@@ -3205,11 +2924,8 @@ bb3:
     #[test]
     fn lockstep_sweep_is_bit_identical_across_policies() {
         for policy in all_policies() {
-            let cfg = SimConfig {
-                scheduler: policy,
-                cache: Some(CacheConfig::default()),
-                ..SimConfig::default()
-            };
+            let mut cfg = SimConfig { scheduler: policy, ..SimConfig::default() };
+            cfg.mem = Some(MemHierarchy::l1(&cfg.latency));
             let sweep = SweepLaunch::new(launch("k", 2, 256, vec![Value::I64(12)]), 100, 116);
             let stats = assert_matches_scalar(LOCKSTEP_KERNEL, &cfg, &sweep);
             assert!(stats.lockstep_issues > 0, "{policy:?}: cohort never issued");
@@ -3347,7 +3063,8 @@ bb3:
 
     #[test]
     fn faulting_sweep_matches_scalar_with_cache() {
-        let cfg = SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() };
+        let mut cfg = SimConfig::default();
+        cfg.mem = Some(MemHierarchy::l1(&cfg.latency));
         let sweep = SweepLaunch::new(launch("k", 1, 32, vec![]), 40, 60);
         assert_matches_scalar(FAULTY_KERNEL, &cfg, &sweep);
     }

@@ -1,11 +1,37 @@
-//! The L1 cache cost model: hits are cheap, misses pay full latency,
-//! stores/atomics invalidate, and values are never affected.
+//! The L1 preset of the memory hierarchy ([`MemHierarchy::l1`]): hits
+//! are cheap, misses pay full latency, stores/atomics invalidate, and
+//! values are never affected. Every case runs on the tree-walker, the
+//! decoded engine and a seed sweep, which must agree exactly.
 
-mod common;
+use simt_ir::{parse_and_link, Module, Value};
+use simt_sim::{
+    run, run_reference, run_sweep, Launch, MemHierarchy, SimConfig, SimOutput, SweepLaunch,
+};
 
-use common::cfg_with_cache;
-use simt_ir::{parse_and_link, Value};
-use simt_sim::{run, CacheConfig, Launch, SimConfig};
+/// The default config with the L1 preset as its memory model.
+fn l1_cfg() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.mem = Some(MemHierarchy::l1(&cfg.latency));
+    cfg
+}
+
+/// Runs `l` on the decoded engine, the tree-walker and a 4-seed sweep
+/// (the kernels draw no random numbers, so every seed is the same run),
+/// asserts they agree on metrics and memory, and returns the decoded
+/// engine's output.
+fn run_everywhere(m: &Module, cfg: &SimConfig, l: &Launch) -> SimOutput {
+    let decoded = run(m, cfg, l).unwrap();
+    let reference = run_reference(m, cfg, l).unwrap();
+    assert_eq!(reference.metrics, decoded.metrics, "tree-walker vs decoded");
+    assert_eq!(reference.global_mem, decoded.global_mem, "tree-walker vs decoded");
+    let sweep = run_sweep(m, cfg, &SweepLaunch::new(l.clone(), 0, 4)).unwrap();
+    for r in sweep.runs {
+        let out = r.result.unwrap();
+        assert_eq!(out.metrics, decoded.metrics, "seed {} vs decoded", r.seed);
+        assert_eq!(out.global_mem, decoded.global_mem, "seed {} vs decoded", r.seed);
+    }
+    decoded
+}
 
 #[test]
 fn repeated_loads_hit_and_get_cheaper() {
@@ -20,16 +46,18 @@ fn repeated_loads_hit_and_get_cheaper() {
     let mut l = Launch::new("k", 1);
     l.global_mem = vec![Value::I64(7); 16];
 
-    let cold = run(&m, &SimConfig::default(), &l).unwrap();
-    let warm = run(&m, &cfg_with_cache(), &l).unwrap();
+    let cold = run_everywhere(&m, &SimConfig::default(), &l);
+    let warm = run_everywhere(&m, &l1_cfg(), &l);
     assert!(
         warm.metrics.cycles < cold.metrics.cycles,
         "cache should cut cycles: {} vs {}",
         warm.metrics.cycles,
         cold.metrics.cycles
     );
-    assert!(warm.metrics.cache_hits >= 49, "hits {}", warm.metrics.cache_hits);
-    assert_eq!(warm.metrics.cache_misses, 1);
+    let l1 = warm.metrics.mem.levels[0];
+    assert!(l1.hits >= 49, "hits {}", l1.hits);
+    assert_eq!(l1.misses, 1);
+    assert!(cold.metrics.mem.is_zero(), "flat memory reports no hierarchy counters");
 }
 
 #[test]
@@ -41,8 +69,8 @@ fn values_are_unaffected_by_the_cache() {
     .unwrap();
     let mut l = Launch::new("k", 2);
     l.global_mem = (0..64).map(Value::I64).collect();
-    let plain = run(&m, &SimConfig::default(), &l).unwrap();
-    let cached = run(&m, &cfg_with_cache(), &l).unwrap();
+    let plain = run_everywhere(&m, &SimConfig::default(), &l);
+    let cached = run_everywhere(&m, &l1_cfg(), &l);
     assert_eq!(plain.global_mem, cached.global_mem);
     for t in 0..64 {
         assert_eq!(cached.global_mem[t], Value::I64(2 * t as i64));
@@ -53,8 +81,8 @@ fn values_are_unaffected_by_the_cache() {
 fn conflicting_lines_evict() {
     // Two addresses mapping to the same direct-mapped slot, alternated:
     // every access misses.
-    let cache = CacheConfig { lines: 4, cells_per_line: 16, hit_cost: 2 };
-    let cfg = SimConfig { cache: Some(cache), ..SimConfig::default() };
+    let mut cfg = SimConfig::default();
+    cfg.mem = Some(MemHierarchy::parse("l1:lines=4,cells=16,lat=2", &cfg.latency).unwrap());
     // line(0)=0 -> slot 0; line(64*16=1024)=64 -> slot 0 as well (64 % 4 == 0).
     let m = parse_and_link(
         "kernel @k(params=0, regs=4, barriers=0, entry=bb0) {\n\
@@ -65,9 +93,10 @@ fn conflicting_lines_evict() {
     .unwrap();
     let mut l = Launch::new("k", 1);
     l.global_mem = vec![Value::I64(0); 1025];
-    let out = run(&m, &cfg, &l).unwrap();
-    assert_eq!(out.metrics.cache_hits, 0, "ping-pong eviction leaves no hits");
-    assert_eq!(out.metrics.cache_misses, 20);
+    let out = run_everywhere(&m, &cfg, &l);
+    let l1 = out.metrics.mem.levels[0];
+    assert_eq!(l1.hits, 0, "ping-pong eviction leaves no hits");
+    assert_eq!(l1.misses, 20);
 }
 
 #[test]
@@ -80,11 +109,12 @@ fn stores_invalidate_cached_lines() {
     .unwrap();
     let mut l = Launch::new("k", 1);
     l.global_mem = vec![Value::I64(1); 16];
-    let out = run(&m, &cfg_with_cache(), &l).unwrap();
+    let out = run_everywhere(&m, &l1_cfg(), &l);
     // load miss, load hit, store (hits the cached line, then
     // invalidates it), load miss again.
-    assert_eq!(out.metrics.cache_hits, 2, "hits {}", out.metrics.cache_hits);
-    assert_eq!(out.metrics.cache_misses, 2, "misses {}", out.metrics.cache_misses);
+    let l1 = out.metrics.mem.levels[0];
+    assert_eq!(l1.hits, 2, "hits {}", l1.hits);
+    assert_eq!(l1.misses, 2, "misses {}", l1.misses);
     assert_eq!(out.global_mem[5], Value::I64(9));
 }
 
@@ -99,6 +129,6 @@ fn atomics_invalidate_across_warps() {
     .unwrap();
     let mut l = Launch::new("k", 2);
     l.global_mem = vec![Value::I64(0); 65];
-    let out = run(&m, &cfg_with_cache(), &l).unwrap();
+    let out = run_everywhere(&m, &l1_cfg(), &l);
     assert_eq!(out.global_mem[0], Value::I64(64), "all 64 atomics landed");
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, Module, Value};
-use simt_sim::{CacheConfig, Launch, SchedulerPolicy, SimConfig};
+use simt_sim::{Launch, SchedulerPolicy};
 
 /// Every scheduler policy the simulator offers, for exhaustive sweeps.
 pub const ALL_POLICIES: [SchedulerPolicy; 5] = [
@@ -27,11 +27,6 @@ pub fn launch_with_mem(kernel: &str, warps: usize, mem: usize) -> Launch {
     let mut l = Launch::new(kernel, warps);
     l.global_mem = vec![Value::I64(0); mem];
     l
-}
-
-/// The default config with the L1 cache cost model enabled.
-pub fn cfg_with_cache() -> SimConfig {
-    SimConfig { cache: Some(CacheConfig::default()), ..SimConfig::default() }
 }
 
 /// Proptest strategy drawing uniformly from [`ALL_POLICIES`].

@@ -7,13 +7,13 @@
 //! stalls, barrier ops), same final memory, same per-block profile, and
 //! the same error on faulting programs — for random structured kernels
 //! across every scheduler policy, with calls, barriers, `syncthreads`,
-//! atomics, local memory, RNG streams, and the L1 cache model in play.
+//! atomics, local memory, RNG streams, and the L1 memory preset in play.
 
 mod common;
 
 use proptest::prelude::*;
 use simt_ir::{parse_and_link, parse_module, Value};
-use simt_sim::{run, run_reference, CacheConfig, Launch, SchedulerPolicy, SimConfig, SimOutput};
+use simt_sim::{run, run_reference, Launch, MemHierarchy, SchedulerPolicy, SimConfig, SimOutput};
 
 /// Everything that shapes one random kernel + run.
 #[derive(Clone, Debug)]
@@ -29,7 +29,9 @@ struct Case {
     seed: u64,
     policy: SchedulerPolicy,
     warps: usize,
-    cache: bool,
+    /// Price global accesses with [`MemHierarchy::l1`] instead of the
+    /// flat coalescing fold.
+    l1: bool,
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {
@@ -46,7 +48,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 (use_barrier, use_sync, use_call, seed),
                 policy,
                 warps,
-                cache,
+                l1,
             )| Case {
                 outer_iters,
                 branch_p,
@@ -59,7 +61,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 seed,
                 policy,
                 warps,
-                cache,
+                l1,
             },
         )
 }
@@ -124,13 +126,16 @@ fn kernel_src(c: &Case) -> String {
 }
 
 fn config_for(c: &Case) -> SimConfig {
-    SimConfig {
+    let mut cfg = SimConfig {
         max_cycles: 50_000_000,
         scheduler: c.policy,
         profile: true,
-        cache: if c.cache { Some(CacheConfig::default()) } else { None },
         ..SimConfig::default()
+    };
+    if c.l1 {
+        cfg.mem = Some(MemHierarchy::l1(&cfg.latency));
     }
+    cfg
 }
 
 fn launch_for(c: &Case) -> Launch {
